@@ -40,19 +40,35 @@ def encode(u):
     """
     bits = _as_bits(u)
     _require_power_of_two(len(bits))
-    return _transform(bits)
+    return _polar_transform(bits)
 
 
-def _transform(bits):
-    if len(bits) == 1:
-        return bits
-    half = len(bits) // 2
-    p = _transform(bits[:half])
-    q = _transform(bits[half:])
-    out = np.empty_like(bits)
-    out[0::2] = p ^ q
-    out[1::2] = q
-    return out
+def _bit_reversal(n):
+    """Permutation of range(n) that reverses the log2(n) bits of each index."""
+    width = n.bit_length() - 1
+    idx = np.arange(n)
+    perm = np.zeros(n, dtype=np.intp)
+    for b in range(width):
+        perm |= ((idx >> b) & 1) << (width - 1 - b)
+    return perm
+
+
+def _polar_transform(bits):
+    """
+    Polar transform along the last axis of a bit array (unchecked).
+
+    The pair-combining recursion equals x = u·B_N·F^{⊗n}: one bit-reversal
+    of the input, then the natural-order butterfly (first half ^= second
+    half at every scale), done in place on the reversed copy.
+    """
+    n = bits.shape[-1]
+    x = np.take(bits, _bit_reversal(n), axis=-1)
+    h = 1
+    while h < n:
+        pairs = x.reshape(-1, n // (2 * h), 2, h)
+        pairs[:, :, 0] ^= pairs[:, :, 1]
+        h *= 2
+    return x
 
 
 def bec_reliabilities(n, design_erasure=0.5):

@@ -3,6 +3,8 @@
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 def sign_bit(llr):
     """Hard-decision bit of an LLR: 0 for llr >= 0, 1 otherwise."""
@@ -27,7 +29,9 @@ def f_exact(l1, l2):
     """
     a, b = abs(l1), abs(l2)
     lo, hi = (a, b) if a <= b else (b, a)
-    mag = lo + math.log1p(math.exp(-(lo + hi))) - math.log1p(math.exp(-(hi - lo)))
+    # numpy's exp and log1p, not math's: they can differ in the last place, and
+    # the batched kernel in polarsc.vectorized must agree bit for bit
+    mag = lo + float(np.log1p(np.exp(-(lo + hi)))) - float(np.log1p(np.exp(-(hi - lo))))
     return (1 - 2 * sign_bit(l1)) * (1 - 2 * sign_bit(l2)) * mag
 
 

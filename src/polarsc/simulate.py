@@ -160,7 +160,8 @@ def run_point(config, snr_db, point_index=None, jobs=1):
         Eb/N0 of this point, in dB.
     point_index : int, optional
         Position of this point in the experiment's grid (selects the random
-        streams). Defaults to its index in ``config.snr_db``, else 0.
+        streams). Defaults to its index in ``config.snr_db``; an SNR off the
+        grid needs an explicit index, so that no two points share streams.
     jobs : int
         Worker processes for chunk evaluation.
 
@@ -169,9 +170,9 @@ def run_point(config, snr_db, point_index=None, jobs=1):
     FerPoint
     """
     if point_index is None:
-        point_index = (
-            config.snr_db.index(float(snr_db)) if float(snr_db) in config.snr_db else 0
-        )
+        if float(snr_db) not in config.snr_db:
+            raise ValueError(f"SNR {snr_db} dB is not on the grid; pass point_index")
+        point_index = config.snr_db.index(float(snr_db))
     chan = AwgnChannel(snr_db, config.code.rate if config.code.k else 1.0)
     sigma2 = chan.noise_variance
     trials = frame_errors = bit_errors = 0
@@ -190,7 +191,7 @@ def run_point(config, snr_db, point_index=None, jobs=1):
                 break
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            wave = max(2 * jobs, jobs)
+            wave = 2 * jobs
             done = False
             for start in range(0, len(args), wave):
                 for result in pool.map(_chunk_counts, args[start : start + wave]):

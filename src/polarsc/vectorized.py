@@ -2,9 +2,25 @@
 
 Bit-identical to the scalar reference in :mod:`polarsc.decoder`; used by the
 Monte Carlo harness where per-frame Python recursion would dominate runtime.
+
+:func:`decode_batch` runs the SC recursion as a flat schedule compiled once
+per frozen mask. Frames sit in the last axis of an (N, frames) block, the
+channel LLRs are bit-reversed on entry so that every node reads its two
+halves as contiguous row ranges, and each node hands its re-encoded bits up
+as +/-1 multipliers, so the variable-node update is one multiply and one add.
 """
 
+from functools import lru_cache
+
 import numpy as np
+
+from .code import _bit_reversal, _polar_transform
+
+# Frames decoded together. The buffers take 29 bytes per frame and position for
+# float LLRs, so this bounds the working set of a large batch (about 30 MB at N=1024).
+BLOCK_FRAMES = 1024
+
+_F, _G, _COMBINE, _LEAF = range(4)
 
 
 def encode_batch(u):
@@ -17,74 +33,140 @@ def encode_batch(u):
         raise ValueError(f"row length must be a power of two, got {n}")
     if u.size and u.max() > 1:
         raise ValueError("bit matrix entries must be 0 or 1")
-    return _transform(u)
-
-
-def _transform(bits):
-    if bits.shape[1] == 1:
-        return bits
-    half = bits.shape[1] // 2
-    p = _transform(bits[:, :half])
-    q = _transform(bits[:, half:])
-    out = np.empty_like(bits)
-    out[:, 0::2] = p ^ q
-    out[:, 1::2] = q
-    return out
+    return _polar_transform(u)
 
 
 def quantize_batch(llrs, fmt):
     """Quantize float LLRs to signed integer words (sign-magnitude semantics)."""
     llrs = np.asarray(llrs, dtype=np.float64)
+    if not np.isfinite(llrs).all():
+        raise ValueError("LLRs must be finite")
     mag = np.floor(np.abs(llrs) * fmt.scale + 0.5)
     mag = np.minimum(mag, fmt.max_magnitude).astype(np.int32)
     return np.where(llrs < 0, -mag, mag)
 
 
-def _f_minsum(a, b):
-    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+@lru_cache(maxsize=64)
+def _schedule(mask_bytes):
+    """
+    The SC recursion over a mask, flattened into node operations.
+
+    A node of length 2h at offset ``off`` keeps its LLRs in rows [2h, 4h) of
+    the level buffer and its child's in rows [h, 2h). It runs f into the
+    child, the first child, g into the child, the second child, then the
+    partial-sum combine of rows [off, off + 2h) of the multiplier buffer.
+    A length-2 node is one leaf step on rows 2 and 3.
+    """
+    mask = np.frombuffer(mask_bytes, dtype=np.uint8)
+    ops = []
+
+    def visit(off, n):
+        if n == 2:
+            ops.append((_LEAF, off, bool(mask[off]), bool(mask[off + 1])))
+            return
+        h = n // 2
+        ops.append((_F, h, off))
+        visit(off, h)
+        ops.append((_G, h, off))
+        visit(off + h, h)
+        ops.append((_COMBINE, h, off))
+
+    visit(0, len(mask))
+    return tuple(ops)
 
 
-def _f_exact(a, b):
-    lo = np.minimum(np.abs(a), np.abs(b))
-    hi = np.maximum(np.abs(a), np.abs(b))
-    mag = lo + np.log1p(np.exp(-(lo + hi))) - np.log1p(np.exp(-(hi - lo)))
-    return np.sign(a) * np.sign(b) * mag
+def _f_minsum(a, b, out, x, y):
+    np.minimum(np.abs(a, out=x), np.abs(b, out=y), out=out)
+    # the sign of a product is the XOR of the signs even when it underflows
+    np.copysign(out, np.multiply(a, b, out=x), out=out)
 
 
-def _make_g(clip):
-    if clip is None:
-        def g(a, b, v):
-            return b + (1 - 2 * v.astype(b.dtype)) * a
-    else:
-        def g(a, b, v):
-            return np.clip(b + (1 - 2 * v.astype(b.dtype)) * a, -clip, clip)
-    return g
+def _f_exact(a, b, out, x, y):
+    np.abs(a, out=x)
+    np.abs(b, out=y)
+    lo = np.minimum(x, y, out=out)
+    hi = np.maximum(x, y, out=x)
+    # lo + log1p(exp(-(lo + hi))) - log1p(exp(-(hi - lo))), as the scalar kernel
+    near = np.log1p(np.exp(np.negative(np.add(lo, hi, out=y), out=y), out=y), out=y)
+    far = np.log1p(np.exp(np.negative(np.subtract(hi, lo, out=x), out=x), out=x), out=x)
+    mag = np.subtract(np.add(lo, near, out=lo), far, out=lo)
+    # the correction can leave a tiny negative magnitude; the scalar kernel
+    # multiplies it by the sign product, so copysign would not be identical
+    np.multiply(np.copysign(1.0, np.multiply(a, b, out=x), out=x), mag, out=out)
 
 
-def _decide_pair(la, lb, a_even, a_odd, f, g, shortcut):
-    fv = f(la, lb)
-    u0 = (fv < 0).astype(np.uint8) if a_even else np.zeros(la.shape[0], np.uint8)
-    if not a_odd:
-        u1 = np.zeros(la.shape[0], np.uint8)
-    elif shortcut:
-        u1 = np.where(np.abs(lb) >= np.abs(la), lb < 0, (la < 0) ^ u0.astype(bool))
-        u1 = u1.astype(np.uint8)
-    else:
-        u1 = (g(la, lb, u0) < 0).astype(np.uint8)
-    return u0, u1
+def _word_f(dtype):
+    """Min-sum f on integer words of ``dtype``; the sign is the top bit of a ^ b."""
+    shift = np.iinfo(dtype).bits - 1
+
+    def f(a, b, out, x, y):
+        np.minimum(np.abs(a, out=x), np.abs(b, out=y), out=out)
+        sign = np.right_shift(np.bitwise_xor(a, b, out=x), shift, out=x)
+        sign |= 1  # -1 where the signs differ, 1 where they agree
+        out *= sign
+
+    return f
 
 
-def _decode_rows(ll, mask, f, g, shortcut):
-    n = ll.shape[1]
-    if n == 2:
-        u0, u1 = _decide_pair(ll[:, 0], ll[:, 1], mask[0], mask[1], f, g, shortcut)
-        return np.stack([u0, u1], axis=1)
-    half = n // 2
-    even, odd = ll[:, 0::2], ll[:, 1::2]
-    u_first = _decode_rows(f(even, odd), mask[:half], f, g, shortcut)
-    v = _transform(u_first)
-    u_second = _decode_rows(g(even, odd, v), mask[half:], f, g, shortcut)
-    return np.concatenate([u_first, u_second], axis=1)
+def _word_dtype(max_magnitude):
+    """Smallest signed integer type that holds every g sum, +/-2*max_magnitude."""
+    for dtype in (np.int16, np.int32, np.int64):
+        if 2 * max_magnitude <= np.iinfo(dtype).max:
+            return dtype
+    raise ValueError(f"words of magnitude {max_magnitude} are too wide for int64")
+
+
+def _run_schedule(ops, llr, mult, u, scratch, f, clip, shortcut):
+    """
+    Decode one block whose bit-reversed channel LLRs fill llr[n:2n].
+
+    ``u`` must start all False; frozen decisions are never written. Rows
+    [0, h) of ``llr`` belong to finished subtrees when a node of length 2h
+    runs, so they serve as f's second scratch buffer.
+    """
+    a, b = llr[2], llr[3]
+    fv, x, y = llr[1], scratch[0], llr[0]
+    flag = np.empty(a.shape, dtype=bool)
+    signs = np.array([1, -1], dtype=mult.dtype)  # decision bit -> multiplier
+    for op in ops:
+        kind = op[0]
+        if kind == _LEAF:
+            _, off, a_even, a_odd = op
+            u0, u1, m0, m1 = u[off], u[off + 1], mult[off], mult[off + 1]
+            if a_even:
+                f(a, b, fv, x, y)
+                np.less(fv, 0, out=u0)
+            if not a_odd:
+                m1.fill(1)
+            else:
+                if shortcut:
+                    # |a| > |b|: the sign of a XOR the even decision; else the sign of b
+                    np.greater(np.abs(a, out=x), np.abs(b, out=y), out=flag)
+                    np.less(np.where(flag, a, b), 0, out=u1)
+                    if a_even:
+                        u1 ^= np.logical_and(u0, flag, out=flag)
+                elif a_even:
+                    # saturation keeps the sign, so the unclipped sum decides
+                    np.less(np.where(u0, b - a, b + a), 0, out=u1)
+                else:
+                    np.less(np.add(b, a, out=x), 0, out=u1)
+                np.take(signs, u1.view(np.uint8), out=m1, mode="wrap")
+            if a_even:
+                np.take(signs, np.logical_xor(u0, u1, out=flag).view(np.uint8), out=m0, mode="wrap")
+            else:
+                m0[...] = m1
+            continue
+        _, h, off = op
+        first, second, child = llr[2 * h : 3 * h], llr[3 * h : 4 * h], llr[h : 2 * h]
+        if kind == _F:
+            f(first, second, child, scratch[:h], llr[:h])
+        elif kind == _G:
+            np.multiply(mult[off : off + h], first, out=child)
+            child += second
+            if clip is not None:
+                np.clip(child, -clip, clip, out=child)
+        else:
+            mult[off : off + h] *= mult[off + h : off + 2 * h]
 
 
 def decode_batch(llrs, mask, kernel=None):
@@ -111,21 +193,50 @@ def decode_batch(llrs, mask, kernel=None):
 
     if kernel is None:
         kernel = DecoderKernel.min_sum()
-    mask = np.asarray(mask, dtype=np.uint8)
+    mask = np.asarray(mask)
     llrs = np.asarray(llrs)
     if llrs.ndim != 2:
         raise ValueError(f"expected a (frames, N) matrix, got shape {llrs.shape}")
     n = llrs.shape[1]
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"row length must be a power of two >= 2, got {n}")
-    if len(mask) != n:
-        raise ValueError(f"mask length {len(mask)} != row length {n}")
+    if mask.shape != (n,):
+        raise ValueError(f"mask shape {mask.shape} does not match row length {n}")
+    if not np.all((mask == 0) | (mask == 1)):
+        raise ValueError("mask entries must be 0 or 1")
     if kernel.arithmetic == "quantized":
         if not np.issubdtype(llrs.dtype, np.integer):
             raise ValueError("quantized decode expects integer words; see quantize_batch")
-        f, g = _f_minsum, _make_g(kernel.qformat.max_magnitude)
+        clip = kernel.qformat.max_magnitude
+        if llrs.size and (llrs.min() < -clip or llrs.max() > clip):
+            raise ValueError(f"quantized words must lie in [-{clip}, {clip}]")
+        dtype = _word_dtype(clip)
+        f = _word_f(dtype)
     else:
         llrs = llrs.astype(np.float64, copy=False)
+        if not np.isfinite(llrs).all():
+            raise ValueError("LLRs must be finite")
+        clip, dtype = None, np.float64
         f = _f_minsum if kernel.arithmetic == "minsum" else _f_exact
-        g = _make_g(None)
-    return _decode_rows(llrs, mask, f, g, kernel.decision == "shortcut")
+    ops = _schedule(mask.astype(np.uint8).tobytes())
+    perm = _bit_reversal(n)
+    shortcut = kernel.decision == "shortcut"
+    out = np.empty(llrs.shape, dtype=np.uint8)
+    width = min(len(llrs), BLOCK_FRAMES)
+    # level buffer: rows [m, 2m) hold the LLRs of the current length-m node
+    llr_buf = np.empty((2 * n, width), dtype=dtype)
+    mult_buf = np.empty((n, width), dtype=dtype)
+    scratch_buf = np.empty((n // 2, width), dtype=dtype)
+    u_buf = np.empty((n, width), dtype=bool)
+    for start in range(0, len(llrs), BLOCK_FRAMES):
+        block = llrs[start : start + BLOCK_FRAMES]
+        frames = len(block)
+        llr, u = llr_buf[:, :frames], u_buf[:, :frames]
+        # transpose into the free lower levels, then gather the bit-reversed rows
+        llr[:n] = block.T
+        np.take(llr[:n], perm, axis=0, out=llr[n:], mode="wrap")
+        u.fill(False)
+        _run_schedule(ops, llr, mult_buf[:, :frames], u, scratch_buf[:, :frames],
+                      f, clip, shortcut)
+        out[start : start + frames] = u.T
+    return out

@@ -10,6 +10,7 @@ from polarsc import (
     bec_reliabilities,
     construct_frozen_mask,
     encode,
+    encode_batch,
     extract_data,
     load_mask,
     save_mask,
@@ -71,12 +72,20 @@ class TestEncode:
         # oracle-computed under the conventions above
         assert np.array_equal(encode([1, 0, 1, 1]), [1, 0, 1, 1])
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64, 128, 256, 512])
     def test_matches_matrix_oracle(self, n):
         rng = np.random.default_rng(7)
         for _ in range(16):
             u = rng.integers(0, 2, n, dtype=np.uint8)
             assert np.array_equal(encode(u), oracle_encode(u))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64, 128, 256, 512])
+    def test_batch_matches_matrix_oracle(self, n):
+        u = np.random.default_rng(n).integers(0, 2, (24, n), dtype=np.uint8)
+        expected = (u.astype(np.int64) @ kernel_matrix(n)) % 2
+        x = encode_batch(u)
+        assert np.array_equal(x, expected)
+        assert x.flags.c_contiguous  # row-major like its input, for the channel step
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_involution_exhaustive(self, n):

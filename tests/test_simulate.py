@@ -73,7 +73,7 @@ def small_config(**overrides):
 
 class TestRunPoint:
     def test_all_frozen_code_never_errs(self):
-        config = small_config(code=CodeSpec.construct(16, 0), max_trials=512)
+        config = small_config(code=CodeSpec.construct(16, 0), snr_db=(-5.0,), max_trials=512)
         point = run_point(config, -5.0)
         assert point.frame_errors == 0
         assert point.fer == 0.0
@@ -111,6 +111,12 @@ class TestRunPoint:
         b = run_point(config, 1.0, point_index=1)
         assert (a.frame_errors, a.bit_errors) != (b.frame_errors, b.bit_errors)
 
+    def test_off_grid_snr_needs_point_index(self):
+        config = small_config(max_trials=256)
+        with pytest.raises(ValueError):
+            run_point(config, 2.0)
+        assert run_point(config, 2.0, point_index=5).trials == 256
+
     def test_confidence_width_shrinks_with_trials(self):
         short = run_point(
             small_config(max_trials=256, min_frame_errors=10**9), 1.0
@@ -125,7 +131,7 @@ class TestRunPoint:
 
     def test_quantized_kernel_runs(self):
         config = small_config(
-            kernel=DecoderKernel.quantized(QFormat(5)), max_trials=512
+            kernel=DecoderKernel.quantized(QFormat(5)), snr_db=(2.0,), max_trials=512
         )
         point = run_point(config, 2.0)
         assert point.trials == 512

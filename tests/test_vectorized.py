@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from polarsc import (
     DecoderKernel,
     QFormat,
+    QLlr,
     decode,
     decode_batch,
     encode,
@@ -15,6 +16,7 @@ from polarsc import (
     quantize,
     quantize_batch,
 )
+from polarsc.vectorized import BLOCK_FRAMES
 
 Q5 = QFormat(5)
 
@@ -55,6 +57,11 @@ class TestQuantizeBatch:
         batch = quantize_batch(values, fmt)
         for i, v in enumerate(values):
             assert batch[i] == quantize(float(v), fmt).value
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            quantize_batch(np.array([[1.0, bad]]), Q5)
 
 
 def _scalar_quantized(llr_row, mask, kernel):
@@ -108,8 +115,108 @@ class TestDecodeBatch:
         with pytest.raises(ValueError):
             decode_batch(np.zeros((2, 4)), [1, 1, 1, 1], DecoderKernel.quantized(Q5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_llrs(self, bad):
+        llrs = np.ones((3, 4))
+        llrs[1, 2] = bad
+        for kernel in (DecoderKernel.min_sum(), DecoderKernel.exact()):
+            with pytest.raises(ValueError):
+                decode_batch(llrs, [0, 1, 1, 1], kernel)
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_rejects_non_bit_mask(self, bad):
+        with pytest.raises(ValueError):
+            decode_batch(np.ones((2, 4)), [0, 1, bad, 1])
+
+    @pytest.mark.parametrize("bad", [16, -16, 2**15])
+    def test_rejects_words_out_of_range(self, bad):
+        words = np.ones((2, 4), dtype=np.int32)
+        words[0, 3] = bad
+        with pytest.raises(ValueError):
+            decode_batch(words, [0, 1, 1, 1], DecoderKernel.quantized(Q5))
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             decode_batch(np.zeros((2, 3)), [1, 1, 1])
         with pytest.raises(ValueError):
             decode_batch(np.zeros((2, 4)), [1, 1])
+
+
+KERNELS = [
+    DecoderKernel(arithmetic, decision)
+    for arithmetic in ("minsum", "exact")
+    for decision in ("shortcut", "plain")
+]
+
+
+def _assert_rows_match_scalar(llrs, mask, kernel):
+    batch = decode_batch(llrs, mask, kernel)
+    assert batch.shape == llrs.shape and batch.dtype == np.uint8
+    for row in range(len(llrs)):
+        if kernel.arithmetic == "quantized":
+            scalar_in = [QLlr.from_value(int(v), kernel.qformat.bits) for v in llrs[row]]
+        else:
+            scalar_in = llrs[row]
+        assert np.array_equal(batch[row], decode(scalar_in, mask, kernel)), row
+
+
+class TestScheduleEquivalence:
+    """decode_batch against scalar decode on inputs that stress each step."""
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=str)
+    def test_tie_and_zero_heavy_integer_llrs(self, kernel):
+        rng = np.random.default_rng(11)
+        for n in (2, 8, 32, 128):
+            mask = rng.integers(0, 2, n, dtype=np.uint8)
+            llrs = rng.choice([-2.0, -1.0, -0.0, 0.0, 0.0, 1.0, 2.0], (48, n))
+            _assert_rows_match_scalar(llrs, mask, kernel)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=str)
+    def test_products_that_underflow(self, kernel):
+        # |a*b| falls below the smallest subnormal, so a*b is a signed zero
+        rng = np.random.default_rng(12)
+        mask = rng.integers(0, 2, 64, dtype=np.uint8)
+        llrs = rng.normal(size=(32, 64)) * 1e-160 * rng.choice([1e-8, 1.0, 1e8], (32, 64))
+        _assert_rows_match_scalar(llrs, mask, kernel)
+
+    @pytest.mark.parametrize("decision", ["shortcut", "plain"])
+    def test_exact_arithmetic_at_n256(self, decision):
+        # the log-domain correction returns a tiny negative magnitude in a few
+        # of these 128 rows; a sign-only rule (copysign) decides them wrongly
+        rng = np.random.default_rng(0)
+        mask = rng.integers(0, 2, 256, dtype=np.uint8)
+        llrs = rng.normal(scale=3.0, size=(128, 256))
+        _assert_rows_match_scalar(llrs, mask, DecoderKernel.exact(decision))
+
+    @pytest.mark.parametrize("bits", range(2, 17))
+    @pytest.mark.parametrize("decision", ["shortcut", "plain"])
+    def test_word_widths_across_int16(self, bits, decision):
+        # full-range words saturate g at every width, including 15 bits
+        # (2*max_magnitude just fits int16) and 16 bits (it does not)
+        kernel = DecoderKernel.quantized(QFormat(bits), decision)
+        m = kernel.qformat.max_magnitude
+        rng = np.random.default_rng(bits)
+        mask = rng.integers(0, 2, 32, dtype=np.uint8)
+        uniform = rng.integers(-m, m + 1, (16, 32))
+        extremes = rng.choice([-m, -1, 0, 1, m], (16, 32))
+        _assert_rows_match_scalar(np.vstack([uniform, extremes]), mask, kernel)
+
+    @pytest.mark.parametrize("frames", [0, 1, BLOCK_FRAMES - 1, BLOCK_FRAMES + 1])
+    def test_frame_counts_around_the_block(self, frames):
+        rng = np.random.default_rng(frames)
+        mask = np.array([0, 0, 1, 1, 0, 1, 1, 1], dtype=np.uint8)
+        llrs = rng.normal(scale=2.0, size=(frames, 8))
+        _assert_rows_match_scalar(llrs, mask, DecoderKernel.min_sum())
+        words = quantize_batch(llrs, Q5)
+        _assert_rows_match_scalar(words, mask, DecoderKernel.quantized(Q5, "plain"))
+
+    @pytest.mark.parametrize("kernel", KERNELS + [DecoderKernel.quantized(Q5)], ids=str)
+    def test_all_frozen_and_all_data_masks(self, kernel):
+        rng = np.random.default_rng(14)
+        llrs = rng.normal(scale=4.0, size=(16, 64))
+        if kernel.arithmetic == "quantized":
+            llrs = quantize_batch(llrs, Q5)
+        frozen = np.zeros(64, dtype=np.uint8)
+        assert not decode_batch(llrs, frozen, kernel).any()
+        _assert_rows_match_scalar(llrs, frozen, kernel)
+        _assert_rows_match_scalar(llrs, np.ones(64, dtype=np.uint8), kernel)
