@@ -11,7 +11,6 @@ from .code import (
 )
 from .decoder import (
     DecoderKernel,
-    UnitCounts,
     decide_even_simplified,
     decide_odd,
     decode,

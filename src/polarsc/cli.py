@@ -3,14 +3,16 @@
 import argparse
 import os
 import sys
+from itertools import islice
 
 import numpy as np
 
 from . import code as polar
 from . import hardware, hybrid, simulate
-from .decoder import DecoderKernel, decode
-from .llr import QFormat, quantize
+from .decoder import DecoderKernel
+from .llr import QFormat
 from .pipeline import PipelineTimingModel, pipeline_throughput
+from .vectorized import BLOCK_FRAMES, decode_batch, encode_batch, quantize_batch
 
 
 def _kernel_from_flags(args):
@@ -71,12 +73,12 @@ def _cmd_construct(args):
 def _cmd_encode(args):
     mask = polar.load_mask(args.mask)
     spec = polar.CodeSpec(len(mask), mask)
-    u = np.zeros(spec.n, dtype=np.uint8)
-    for fields in _read_frames(args.infile, spec.k, "data bits"):
-        u[:] = 0
-        u[spec.data_indices] = [int(b) for b in fields]
-        x = polar.encode(u)
-        print(" ".join(str(int(b)) for b in x))
+    frames = _read_frames(args.infile, spec.k, "data bits")
+    while block := list(islice(frames, BLOCK_FRAMES)):
+        u = np.zeros((len(block), spec.n), dtype=np.uint8)
+        u[:, spec.data_indices] = [[int(b) for b in fields] for fields in block]
+        for x in encode_batch(u):
+            print(" ".join(str(int(b)) for b in x))
     return 0
 
 
@@ -84,15 +86,13 @@ def _cmd_decode(args):
     mask = polar.load_mask(args.mask)
     spec = polar.CodeSpec(len(mask), mask)
     kernel = _kernel_from_flags(args)
-    for fields in _read_frames(args.infile, spec.n, "LLRs"):
-        llrs = np.array([float(v) for v in fields])
+    frames = _read_frames(args.infile, spec.n, "LLRs")
+    while block := list(islice(frames, BLOCK_FRAMES)):
+        llrs = np.array([[float(v) for v in fields] for fields in block])
         if kernel.arithmetic == "quantized":
-            words = [quantize(v, kernel.qformat) for v in llrs]
-            u_hat = decode(words, mask, kernel)
-        else:
-            u_hat = decode(llrs, mask, kernel)
-        data = polar.extract_data(u_hat, mask)
-        print(" ".join(str(int(b)) for b in data))
+            llrs = quantize_batch(llrs, kernel.qformat)
+        for data in decode_batch(llrs, mask, kernel)[:, spec.data_indices]:
+            print(" ".join(str(int(b)) for b in data))
     return 0
 
 

@@ -1,6 +1,7 @@
 """Polar code definition: GF(2) transform, frozen-set construction, data extraction."""
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,13 +44,15 @@ def encode(u):
     return _polar_transform(bits)
 
 
+@lru_cache(maxsize=None)
 def _bit_reversal(n):
-    """Permutation of range(n) that reverses the log2(n) bits of each index."""
+    """Permutation of range(n) that reverses the log2(n) bits of each index (read-only, shared)."""
     width = n.bit_length() - 1
     idx = np.arange(n)
     perm = np.zeros(n, dtype=np.intp)
     for b in range(width):
         perm |= ((idx >> b) & 1) << (width - 1 - b)
+    perm.flags.writeable = False
     return perm
 
 

@@ -1,13 +1,13 @@
 """Successive-cancellation decoding, generic over float and sign-magnitude arithmetic."""
 
-import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
-from .llr import QFormat, QLlr, f_exact, f_minsum, g_fn, qf_minsum, qg_fn, sign_bit
+from .hardware import ComplexityCounts
+from .llr import QFormat, QLlr, sign_bit
+from .vectorized import decode_batch
 
 _ARITHMETICS = ("minsum", "exact", "quantized")
 _DECISIONS = ("shortcut", "plain")
@@ -50,34 +50,6 @@ class DecoderKernel:
         return cls("quantized", decision, qformat)
 
 
-_FLOAT_MINSUM = SimpleNamespace(
-    f=f_minsum,
-    g=g_fn,
-    sgn=sign_bit,
-    mag_ge=lambda a, b: abs(a) >= abs(b),
-)
-_FLOAT_EXACT = SimpleNamespace(
-    f=f_exact,
-    g=g_fn,
-    sgn=sign_bit,
-    mag_ge=lambda a, b: abs(a) >= abs(b),
-)
-_QUANTIZED = SimpleNamespace(
-    f=qf_minsum,
-    g=qg_fn,
-    sgn=lambda x: x.sign,
-    mag_ge=lambda a, b: a.magnitude >= b.magnitude,
-)
-
-
-def _ops_for(kernel):
-    if kernel.arithmetic == "minsum":
-        return _FLOAT_MINSUM
-    if kernel.arithmetic == "exact":
-        return _FLOAT_EXACT
-    return _QUANTIZED
-
-
 def decide_odd(lam1, lam2, u_even, a_odd):
     """
     Odd-bit decision shortcut.
@@ -112,57 +84,23 @@ def decide_even_simplified(l0, l1, l2, l3, a_even):
     return signs & a_even
 
 
-def _partial_sums(bits):
-    """Polar transform on a plain list of bits (partial sums of prior decisions)."""
-    if len(bits) == 1:
-        return bits
-    half = len(bits) // 2
-    p = _partial_sums(bits[:half])
-    q = _partial_sums(bits[half:])
-    out = [0] * len(bits)
-    out[0::2] = [x ^ y for x, y in zip(p, q)]
-    out[1::2] = q
-    return out
-
-
-def _decide_pair(lam1, lam2, a_even, a_odd, ops, shortcut):
-    """Base length-2 decode: even decision, then the data-dependent odd decision."""
-    u0 = ops.sgn(ops.f(lam1, lam2)) & a_even
-    if a_odd == 0:
-        u1 = 0
-    elif shortcut:
-        u1 = ops.sgn(lam2) if ops.mag_ge(lam2, lam1) else ops.sgn(lam1) ^ u0
-    else:
-        u1 = ops.sgn(ops.g(lam1, lam2, u0))
-    return u0, u1
-
-
-def _decode_rec(llrs, mask, ops, shortcut):
-    n = len(llrs)
-    if n == 2:
-        u0, u1 = _decide_pair(llrs[0], llrs[1], mask[0], mask[1], ops, shortcut)
-        return [u0, u1]
-    if n == 4:
-        # unrolled recursion; identical operation sequence, fewer calls
-        f, g = ops.f, ops.g
-        la, lb = f(llrs[0], llrs[1]), f(llrs[2], llrs[3])
-        u0, u1 = _decide_pair(la, lb, mask[0], mask[1], ops, shortcut)
-        ma, mb = g(llrs[0], llrs[1], u0 ^ u1), g(llrs[2], llrs[3], u1)
-        u2, u3 = _decide_pair(ma, mb, mask[2], mask[3], ops, shortcut)
-        return [u0, u1, u2, u3]
-    half = n // 2
-    f, g = ops.f, ops.g
-    first = [f(llrs[2 * j], llrs[2 * j + 1]) for j in range(half)]
-    u_first = _decode_rec(first, mask[:half], ops, shortcut)
-    v = _partial_sums(u_first)
-    second = [g(llrs[2 * j], llrs[2 * j + 1], v[j]) for j in range(half)]
-    u_second = _decode_rec(second, mask[half:], ops, shortcut)
-    return u_first + u_second
+def _as_row(llrs, kernel):
+    """
+    One frame of channel LLRs as a numpy row: floats for float kernels, the
+    integer values of QLlr words of the kernel's width for the quantized one.
+    """
+    if kernel.arithmetic == "quantized":
+        width = kernel.qformat.bits
+        if any(not isinstance(x, QLlr) or x.bits != width for x in llrs):
+            raise ValueError(f"quantized decode expects QLlr words of width {width}")
+        return np.array([x.value for x in llrs], dtype=np.int64)
+    return np.asarray(llrs, dtype=np.float64)
 
 
 def decode(llrs, mask, kernel=None):
     """
-    Decode one LLR vector by successive cancellation.
+    Decode one LLR vector by successive cancellation: a batch of one on
+    :func:`polarsc.vectorized.decode_batch`.
 
     Parameters
     ----------
@@ -182,39 +120,7 @@ def decode(llrs, mask, kernel=None):
     """
     if kernel is None:
         kernel = DecoderKernel.min_sum()
-    n = len(llrs)
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError(f"LLR vector length must be a power of two >= 2, got {n}")
-    mask_list = [int(b) for b in mask]
-    if len(mask_list) != n:
-        raise ValueError(f"mask length {len(mask_list)} != LLR length {n}")
-    if any(b not in (0, 1) for b in mask_list):
-        raise ValueError("mask entries must be 0 or 1")
-    if kernel.arithmetic == "quantized":
-        llr_list = list(llrs)
-        width = kernel.qformat.bits
-        if any(not isinstance(x, QLlr) or x.bits != width for x in llr_list):
-            raise ValueError(f"quantized decode expects QLlr words of width {width}")
-    else:
-        llr_list = [float(x) for x in llrs]
-        if any(not math.isfinite(x) for x in llr_list):
-            raise ValueError("LLRs must be finite")
-    ops = _ops_for(kernel)
-    out = _decode_rec(llr_list, mask_list, ops, kernel.decision == "shortcut")
-    return np.array(out, dtype=np.uint8)
-
-
-@dataclass(frozen=True)
-class UnitCounts:
-    """Hardware blocks instantiated by the decode recursion."""
-
-    check_comparators: int
-    decision_comparators: int
-    adders: int
-
-    @property
-    def total(self):
-        return self.check_comparators + self.decision_comparators + self.adders
+    return decode_batch(_as_row(llrs, kernel)[None], mask, kernel)[0]
 
 
 def structural_unit_counts(n):
@@ -230,9 +136,9 @@ def structural_unit_counts(n):
     if n < 4 or (n & (n - 1)) != 0:
         raise ValueError(f"block length must be a power of two >= 4, got {n}")
     if n == 4:
-        return UnitCounts(2, 2, 4)
+        return ComplexityCounts(2, 2, 4)
     sub = structural_unit_counts(n // 2)
-    return UnitCounts(
+    return ComplexityCounts(
         2 * sub.check_comparators + n // 2,
         2 * sub.decision_comparators,
         2 * sub.adders + n,

@@ -39,6 +39,8 @@ def _check_block_length(n, minimum):
 
 @dataclass(frozen=True)
 class ComplexityCounts:
+    """Hardware blocks of a combinational decoder, by kind."""
+
     check_comparators: int
     decision_comparators: int
     adders: int
@@ -61,14 +63,18 @@ def complexity(n):
     return ComplexityCounts(n // 2 * stages, n // 2, n * stages)
 
 
-def base_block_delay(d):
-    """Critical path of the length-4 base block: 3 comparators, 4 muxes, 1 XOR, 2 ANDs."""
+def _warn_if_optimistic(d):
     if not d.meets_base_assumption:
         warnings.warn(
             "gate delays violate the base-block assumption "
             "(comparator < 3*xor + and); the delay model may be optimistic",
-            stacklevel=2,
+            stacklevel=3,
         )
+
+
+def base_block_delay(d):
+    """Critical path of the length-4 base block: 3 comparators, 4 muxes, 1 XOR, 2 ANDs."""
+    _warn_if_optimistic(d)
     return 3 * d.comparator + 4 * d.mux + d.xor + 2 * d.and_gate
 
 
@@ -96,12 +102,7 @@ def delay_closed(n, d):
     agrees exactly with :func:`delay_recursive` when interconnect is zero.
     """
     _check_block_length(n, 8)
-    if not d.meets_base_assumption:
-        warnings.warn(
-            "gate delays violate the base-block assumption "
-            "(comparator < 3*xor + and); the delay model may be optimistic",
-            stacklevel=2,
-        )
+    _warn_if_optimistic(d)
     linear = n * (1.5 * d.mux + d.comparator + d.xor + 0.5 * d.and_gate)
     correction = d.comparator + 2 * d.mux + (math.log2(n) + 1) * d.xor
     return linear - correction + d.interconnect

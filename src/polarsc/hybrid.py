@@ -6,42 +6,81 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import DecoderKernel, _decode_rec, _ops_for, _partial_sums
+from .code import _bit_reversal, encode
+from .decoder import DecoderKernel, _as_row
+from .llr import QLlr
+from .vectorized import _F, _LEAF, _checked, _compile, _State, decode_batch
 
 # Measured throughputs (b/s) of the combinational core on a mid-range FPGA,
 # used to derive default component-decoder delays D = N'/TP.
 DEFAULT_COMB_THROUGHPUT_BPS = {16: 1.05e9, 32: 0.88e9, 64: 0.85e9}
 
 
+class _FrontEnd:
+    """
+    The synchronous front end: the full code's schedule, run on one frame,
+    with every length-N' subtree cut out.
+
+    Iterating runs the schedule up to each component in turn and yields the
+    component's offset and input LLRs (in natural order); the caller hands
+    its N' decisions to :meth:`take` before the walk goes on.
+    """
+
+    def __init__(self, llrs, mask, n_prime, kernel):
+        row = _checked(_as_row(llrs, kernel)[None], kernel)
+        n = row.shape[1]
+        if n_prime < 2 or (n_prime & (n_prime - 1)) != 0 or n % n_prime != 0:
+            raise ValueError(f"component length {n_prime} must be a power of two dividing {n}")
+        self.n, self.n_prime = n, n_prime
+        self.ops = _compile(mask, n)
+        self.state = _State(kernel, n, 1)
+        self.state.load(row)
+        self.perm = _bit_reversal(n_prime)
+
+    def __iter__(self):
+        # a length-N' subtree starts with its f (its leaf when N' = 2) and
+        # spans 2N' - 3 ops; the front end runs the ops in between
+        h, span = self.n_prime // 2, 2 * self.n_prime - 3
+        pos = i = 0
+        while i < len(self.ops):
+            kind, size, off = self.ops[i][:3]
+            if size == h and kind in (_F, _LEAF):
+                self.state.run(self.ops[pos:i])
+                # the subtree's input LLRs sit bit-reversed in rows [N', 2N')
+                yield off, self.state.llr[self.n_prime : 2 * self.n_prime, 0][self.perm]
+                pos = i = i + span
+            else:
+                i += 1
+
+    def take(self, off, bits):
+        """Write a component's decisions as ``u`` and as re-encoded multipliers."""
+        self.state.u[off : off + self.n_prime, 0] = bits
+        self.state.mult[off : off + self.n_prime, 0] = np.where(encode(bits)[self.perm], -1, 1)
+
+
 def component_inputs(llrs, decided, n_prime, kernel=None):
     """
     LLR vector handed to the component decoder for the next repetition.
 
-    Descends the check/variable-node tree from the channel level down to the
+    Runs the check/variable-node tree from the channel level down to the
     component-code level, consuming the ``decided`` bits (all component
-    outputs so far) to form partial sums on the variable-node branches. This
-    is the synchronous decoder's share of the work.
+    outputs so far; a trailing partial component is ignored) to form partial
+    sums on the variable-node branches. This is the synchronous decoder's
+    share of the work.
     """
     if kernel is None:
         kernel = DecoderKernel.min_sum()
-    ops = _ops_for(kernel)
-
-    def descend(vec, bits):
-        m = len(vec)
-        if m == n_prime:
-            return vec
-        half = m // 2
-        if len(bits) < half:
-            return descend(
-                [ops.f(vec[2 * j], vec[2 * j + 1]) for j in range(half)], bits
-            )
-        v = _partial_sums(bits[:half])
-        return descend(
-            [ops.g(vec[2 * j], vec[2 * j + 1], v[j]) for j in range(half)],
-            bits[half:],
-        )
-
-    return descend(list(llrs), list(decided))
+    # the front end runs no leaf, so the mask does not change its ops
+    front = _FrontEnd(llrs, np.zeros(len(llrs)), n_prime, kernel)
+    target = len(decided) // n_prime * n_prime
+    if target >= front.n:
+        raise ValueError(f"{len(decided)} decided bits leave no component of a length-{front.n} code")
+    for off, lam in front:
+        if off == target:
+            if kernel.arithmetic == "quantized":
+                return [QLlr.from_value(int(v), kernel.qformat.bits) for v in lam]
+            return lam.tolist()
+        front.take(off, decided[off : off + n_prime])
 
 
 def hybrid_decode(llrs, mask, n_prime, kernel=None):
@@ -66,22 +105,11 @@ def hybrid_decode(llrs, mask, n_prime, kernel=None):
     """
     if kernel is None:
         kernel = DecoderKernel.min_sum()
-    n = len(llrs)
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError(f"LLR vector length must be a power of two >= 2, got {n}")
-    if n_prime < 2 or (n_prime & (n_prime - 1)) != 0 or n % n_prime != 0:
-        raise ValueError(f"component length {n_prime} must be a power of two dividing {n}")
-    mask_list = [int(b) for b in mask]
-    if len(mask_list) != n:
-        raise ValueError(f"mask length {len(mask_list)} != LLR length {n}")
-    ops = _ops_for(kernel)
-    shortcut = kernel.decision == "shortcut"
-    decided = []
-    for i in range(n // n_prime):
-        lam = component_inputs(llrs, decided, n_prime, kernel)
-        component_mask = mask_list[i * n_prime : (i + 1) * n_prime]
-        decided += _decode_rec(lam, component_mask, ops, shortcut)
-    return np.array(decided, dtype=np.uint8)
+    mask = np.asarray(mask)
+    front = _FrontEnd(llrs, mask, n_prime, kernel)
+    for off, lam in front:
+        front.take(off, decode_batch(lam[None], mask[off : off + n_prime], kernel)[0])
+    return front.state.u[:, 0].astype(np.uint8)
 
 
 def semi_parallel_latency(n, p):

@@ -39,7 +39,8 @@ def g_fn(l1, l2, v):
     """Variable-node update: l2 + l1 for partial sum v=0, l2 - l1 for v=1."""
     if v not in (0, 1):
         raise ValueError(f"partial-sum bit must be 0 or 1, got {v}")
-    return l2 + (1 - 2 * v) * l1
+    # a numpy unsigned bit would wrap 1 - 2*v to 255
+    return l2 + (1 - 2 * int(v)) * l1
 
 
 @dataclass(frozen=True)
@@ -134,11 +135,11 @@ def qg_fn(a, b, v):
     _check_widths(a, b)
     if v not in (0, 1):
         raise ValueError(f"partial-sum bit must be 0 or 1, got {v}")
-    return QLlr.from_value(b.value + (1 - 2 * v) * a.value, a.bits)
+    return QLlr.from_value(b.value + (1 - 2 * int(v)) * a.value, a.bits)
 
 
 def qg_saturates(a, b, v):
     """True when :func:`qg_fn` on the same operands would clip its magnitude."""
     _check_widths(a, b)
-    raw = b.value + (1 - 2 * v) * a.value
+    raw = b.value + (1 - 2 * int(v)) * a.value
     return abs(raw) > (1 << (a.bits - 1)) - 1

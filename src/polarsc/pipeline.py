@@ -5,17 +5,28 @@ from typing import Optional
 
 import numpy as np
 
-from .decoder import DecoderKernel, _decode_rec, _ops_for, _partial_sums
+from .code import _bit_reversal
+from .decoder import DecoderKernel, _as_row
+from .vectorized import _G, _checked, _compile, _State
 
 
 @dataclass
 class StageRegisters:
-    """Register bank between decoder halves: the codeword's channel LLRs, the
-    partial sums of its first-half decisions, and those decisions themselves."""
+    """Register bank between decoder halves: one codeword's decoder state after
+    the first half. It keeps the channel LLRs, the first-half decisions and
+    their partial sums (re-encoded as +/-1 multipliers)."""
 
-    llrs: list
-    partial_sums: list
-    first_half: list
+    state: _State
+
+    @property
+    def first_half(self):
+        half = len(self.state.u) // 2
+        return [int(b) for b in self.state.u[:half, 0]]
+
+    @property
+    def partial_sums(self):
+        half = len(self.state.u) // 2
+        return [int(m < 0) for m in self.state.mult[_bit_reversal(half), 0]]
 
 
 class PipelinedDecoder:
@@ -49,8 +60,10 @@ class PipelinedDecoder:
         self.n = n
         self.stages = stages
         self.kernel = kernel if kernel is not None else DecoderKernel.min_sum()
-        self._ops = _ops_for(self.kernel)
-        self._shortcut = self.kernel.decision == "shortcut"
+        ops = _compile(mask, n)
+        # the first half ends where the root's g starts
+        cut = ops.index((_G, n // 2, 0))
+        self._halves = ops[:cut], ops[cut:]
         self.banks: list[Optional[StageRegisters]] = [None] * stages
         self._out_reg: Optional[np.ndarray] = None
         self.cycle = 0
@@ -62,21 +75,14 @@ class PipelinedDecoder:
         return pending + (1 if self._out_reg is not None else 0)
 
     def _first_half(self, llrs):
-        half = self.n // 2
-        ops = self._ops
-        folded = [ops.f(llrs[2 * j], llrs[2 * j + 1]) for j in range(half)]
-        u_first = _decode_rec(folded, self.mask[:half], ops, self._shortcut)
-        return StageRegisters(list(llrs), _partial_sums(u_first), u_first)
+        state = _State(self.kernel, self.n, 1)
+        state.load(_checked(_as_row(llrs, self.kernel)[None], self.kernel))
+        state.run(self._halves[0])
+        return StageRegisters(state)
 
     def _second_half(self, bank):
-        half = self.n // 2
-        ops = self._ops
-        folded = [
-            ops.g(bank.llrs[2 * j], bank.llrs[2 * j + 1], bank.partial_sums[j])
-            for j in range(half)
-        ]
-        u_second = _decode_rec(folded, self.mask[half:], ops, self._shortcut)
-        return np.array(bank.first_half + u_second, dtype=np.uint8)
+        bank.state.run(self._halves[1])
+        return bank.state.u[:, 0].astype(np.uint8)
 
     def step(self, llrs=None):
         """

@@ -1,13 +1,13 @@
-"""Batched numpy implementations of the transform and SC decode, one row per frame.
-
-Bit-identical to the scalar reference in :mod:`polarsc.decoder`; used by the
-Monte Carlo harness where per-frame Python recursion would dominate runtime.
+"""The SC decode engine, and batched numpy encode and quantize, one row per frame.
 
 :func:`decode_batch` runs the SC recursion as a flat schedule compiled once
 per frozen mask. Frames sit in the last axis of an (N, frames) block, the
 channel LLRs are bit-reversed on entry so that every node reads its two
 halves as contiguous row ranges, and each node hands its re-encoded bits up
 as +/-1 multipliers, so the variable-node update is one multiply and one add.
+Scalar decoding, the pipeline halves (the schedule cut at the root) and the
+hybrid front end (the schedule with its length-N' subtrees cut out) run the
+same schedule on a one-frame state.
 """
 
 from functools import lru_cache
@@ -42,7 +42,14 @@ def quantize_batch(llrs, fmt):
     if not np.isfinite(llrs).all():
         raise ValueError("LLRs must be finite")
     mag = np.floor(np.abs(llrs) * fmt.scale + 0.5)
-    mag = np.minimum(mag, fmt.max_magnitude).astype(np.int32)
+    if fmt.bits <= 32:
+        mag = np.minimum(mag, fmt.max_magnitude).astype(np.int32)
+    else:
+        # from 54 bits float(max_magnitude) rounds up, and at 64 bits past
+        # int64, so saturate in integers
+        over = mag >= fmt.max_magnitude
+        mag = np.where(over, 0.0, mag).astype(np.int64)
+        mag[over] = fmt.max_magnitude
     return np.where(llrs < 0, -mag, mag)
 
 
@@ -55,14 +62,15 @@ def _schedule(mask_bytes):
     the level buffer and its child's in rows [h, 2h). It runs f into the
     child, the first child, g into the child, the second child, then the
     partial-sum combine of rows [off, off + 2h) of the multiplier buffer.
-    A length-2 node is one leaf step on rows 2 and 3.
+    A length-2 node is one leaf step on rows 2 and 3, which also carries the
+    node's two mask bits. Every step starts with (kind, h, off).
     """
     mask = np.frombuffer(mask_bytes, dtype=np.uint8)
     ops = []
 
     def visit(off, n):
         if n == 2:
-            ops.append((_LEAF, off, bool(mask[off]), bool(mask[off + 1])))
+            ops.append((_LEAF, 1, off, bool(mask[off]), bool(mask[off + 1])))
             return
         h = n // 2
         ops.append((_F, h, off))
@@ -116,9 +124,40 @@ def _word_dtype(max_magnitude):
     raise ValueError(f"words of magnitude {max_magnitude} are too wide for int64")
 
 
+def _compile(mask, n):
+    """Check a frozen mask for rows of length ``n``; returns its schedule."""
+    mask = np.asarray(mask)
+    if mask.shape != (n,):
+        raise ValueError(f"mask shape {mask.shape} does not match row length {n}")
+    if not np.all((mask == 0) | (mask == 1)):
+        raise ValueError("mask entries must be 0 or 1")
+    return _schedule(mask.astype(np.uint8).tobytes())
+
+
+def _checked(llrs, kernel):
+    """Check a (frames, N) LLR matrix: float64 for float kernels, integer words in range otherwise."""
+    llrs = np.asarray(llrs)
+    if llrs.ndim != 2:
+        raise ValueError(f"expected a (frames, N) matrix, got shape {llrs.shape}")
+    n = llrs.shape[1]
+    if n < 2 or (n & (n - 1)) != 0:
+        raise ValueError(f"row length must be a power of two >= 2, got {n}")
+    if kernel.arithmetic == "quantized":
+        if not np.issubdtype(llrs.dtype, np.integer):
+            raise ValueError("quantized decode expects integer words; see quantize_batch")
+        clip = kernel.qformat.max_magnitude
+        if llrs.size and (llrs.min() < -clip or llrs.max() > clip):
+            raise ValueError(f"quantized words must lie in [-{clip}, {clip}]")
+        return llrs
+    llrs = llrs.astype(np.float64, copy=False)
+    if not np.isfinite(llrs).all():
+        raise ValueError("LLRs must be finite")
+    return llrs
+
+
 def _run_schedule(ops, llr, mult, u, scratch, f, clip, shortcut):
     """
-    Decode one block whose bit-reversed channel LLRs fill llr[n:2n].
+    Run a slice of a schedule on one block of frames.
 
     ``u`` must start all False; frozen decisions are never written. Rows
     [0, h) of ``llr`` belong to finished subtrees when a node of length 2h
@@ -131,7 +170,7 @@ def _run_schedule(ops, llr, mult, u, scratch, f, clip, shortcut):
     for op in ops:
         kind = op[0]
         if kind == _LEAF:
-            _, off, a_even, a_odd = op
+            _, _, off, a_even, a_odd = op
             u0, u1, m0, m1 = u[off], u[off + 1], mult[off], mult[off + 1]
             if a_even:
                 f(a, b, fv, x, y)
@@ -169,6 +208,47 @@ def _run_schedule(ops, llr, mult, u, scratch, f, clip, shortcut):
             mult[off : off + h] *= mult[off + h : off + 2 * h]
 
 
+class _State:
+    """
+    The buffers of up to ``width`` frames of length ``n``, and the kernel's
+    arithmetic, on which any contiguous slice of a schedule can run.
+
+    Rows [m, 2m) of the level buffer ``llr`` hold the LLRs of the current
+    length-m node, so the channel LLRs stay in rows [n, 2n). ``mult`` holds
+    each finished node's re-encoded bits as +/-1 multipliers, in bit-reversed
+    order within the node, and ``u`` the decisions.
+    """
+
+    def __init__(self, kernel, n, width):
+        if kernel.arithmetic == "quantized":
+            self.clip = kernel.qformat.max_magnitude
+            dtype = _word_dtype(self.clip)
+            self.f = _word_f(dtype)
+        else:
+            self.clip, dtype = None, np.float64
+            self.f = _f_minsum if kernel.arithmetic == "minsum" else _f_exact
+        self.shortcut = kernel.decision == "shortcut"
+        self.llr = np.empty((2 * n, width), dtype=dtype)
+        self.mult = np.empty((n, width), dtype=dtype)
+        self.scratch = np.empty((n // 2, width), dtype=dtype)
+        self.u = np.empty((n, width), dtype=bool)
+
+    def load(self, block):
+        """Bit-reverse a checked (frames, n) block into the level buffer and clear ``u``."""
+        self.frames, n = block.shape
+        llr = self.llr[:, : self.frames]
+        # transpose into the free lower levels, then gather the bit-reversed rows
+        llr[:n] = block.T
+        np.take(llr[:n], _bit_reversal(n), axis=0, out=llr[n:], mode="wrap")
+        self.u[:, : self.frames].fill(False)
+
+    def run(self, ops):
+        """Run a slice of a schedule on the loaded frames."""
+        k = self.frames
+        _run_schedule(ops, self.llr[:, :k], self.mult[:, :k], self.u[:, :k],
+                      self.scratch[:, :k], self.f, self.clip, self.shortcut)
+
+
 def decode_batch(llrs, mask, kernel=None):
     """
     SC-decode each row of an LLR matrix.
@@ -193,50 +273,13 @@ def decode_batch(llrs, mask, kernel=None):
 
     if kernel is None:
         kernel = DecoderKernel.min_sum()
-    mask = np.asarray(mask)
-    llrs = np.asarray(llrs)
-    if llrs.ndim != 2:
-        raise ValueError(f"expected a (frames, N) matrix, got shape {llrs.shape}")
-    n = llrs.shape[1]
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError(f"row length must be a power of two >= 2, got {n}")
-    if mask.shape != (n,):
-        raise ValueError(f"mask shape {mask.shape} does not match row length {n}")
-    if not np.all((mask == 0) | (mask == 1)):
-        raise ValueError("mask entries must be 0 or 1")
-    if kernel.arithmetic == "quantized":
-        if not np.issubdtype(llrs.dtype, np.integer):
-            raise ValueError("quantized decode expects integer words; see quantize_batch")
-        clip = kernel.qformat.max_magnitude
-        if llrs.size and (llrs.min() < -clip or llrs.max() > clip):
-            raise ValueError(f"quantized words must lie in [-{clip}, {clip}]")
-        dtype = _word_dtype(clip)
-        f = _word_f(dtype)
-    else:
-        llrs = llrs.astype(np.float64, copy=False)
-        if not np.isfinite(llrs).all():
-            raise ValueError("LLRs must be finite")
-        clip, dtype = None, np.float64
-        f = _f_minsum if kernel.arithmetic == "minsum" else _f_exact
-    ops = _schedule(mask.astype(np.uint8).tobytes())
-    perm = _bit_reversal(n)
-    shortcut = kernel.decision == "shortcut"
+    llrs = _checked(llrs, kernel)
+    ops = _compile(mask, llrs.shape[1])
     out = np.empty(llrs.shape, dtype=np.uint8)
-    width = min(len(llrs), BLOCK_FRAMES)
-    # level buffer: rows [m, 2m) hold the LLRs of the current length-m node
-    llr_buf = np.empty((2 * n, width), dtype=dtype)
-    mult_buf = np.empty((n, width), dtype=dtype)
-    scratch_buf = np.empty((n // 2, width), dtype=dtype)
-    u_buf = np.empty((n, width), dtype=bool)
+    state = _State(kernel, llrs.shape[1], min(len(llrs), BLOCK_FRAMES))
     for start in range(0, len(llrs), BLOCK_FRAMES):
         block = llrs[start : start + BLOCK_FRAMES]
-        frames = len(block)
-        llr, u = llr_buf[:, :frames], u_buf[:, :frames]
-        # transpose into the free lower levels, then gather the bit-reversed rows
-        llr[:n] = block.T
-        np.take(llr[:n], perm, axis=0, out=llr[n:], mode="wrap")
-        u.fill(False)
-        _run_schedule(ops, llr, mult_buf[:, :frames], u, scratch_buf[:, :frames],
-                      f, clip, shortcut)
-        out[start : start + frames] = u.T
+        state.load(block)
+        state.run(ops)
+        out[start : start + len(block)] = state.u[:, : len(block)].T
     return out

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from polarsc import construct_frozen_mask, load_mask
+from polarsc import DecoderKernel, QFormat, construct_frozen_mask, encode, load_mask, quantize
 from polarsc.cli import main
+from polarsc.vectorized import BLOCK_FRAMES
+from test_decoder import reference_decode
 
 
 def run_cli(argv, capsys):
@@ -106,6 +108,41 @@ class TestEncodeDecodePipe:
         )
         assert code == 0
         assert out.split() == "1 0 1 1 0 0 1 0".split()
+
+    @pytest.mark.parametrize("qbits", [0, 5])
+    def test_frames_across_blocks_match_reference(self, tmp_path, mask_file, capsys, qbits):
+        # one full block of frames and a partial one
+        rng = np.random.default_rng(qbits)
+        llrs = rng.normal(scale=3.0, size=(BLOCK_FRAMES + 3, 16))
+        llr_in = tmp_path / "llrs.txt"
+        llr_in.write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in llrs))
+        argv = ["decode", "--mask", str(mask_file), "--in", str(llr_in), "--qbits", str(qbits)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == len(llrs)
+        mask = load_mask(mask_file)
+        fmt = QFormat(5)
+        kernel = DecoderKernel.quantized(fmt) if qbits else DecoderKernel.min_sum()
+        for row, line in zip(llrs, lines):
+            frame = [quantize(float(v), fmt) for v in row] if qbits else row
+            want = reference_decode(frame, mask, kernel)[0][mask == 1]
+            assert line == " ".join(str(b) for b in want)
+
+    def test_encode_frames_across_blocks(self, tmp_path, mask_file, capsys):
+        rng = np.random.default_rng(1)
+        data = rng.integers(0, 2, (BLOCK_FRAMES + 3, 8))
+        data_in = tmp_path / "data.txt"
+        data_in.write_text("".join(" ".join(str(b) for b in row) + "\n" for row in data))
+        code, out, _ = run_cli(["encode", "--mask", str(mask_file), "--in", str(data_in)], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == len(data)
+        mask = load_mask(mask_file)
+        for row, line in zip(data, lines):
+            u = np.zeros(16, dtype=np.uint8)
+            u[mask == 1] = row
+            assert line == " ".join(str(b) for b in encode(u))
 
     def test_wrong_frame_width_fails(self, tmp_path, mask_file, capsys):
         data_in = tmp_path / "data.txt"

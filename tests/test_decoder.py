@@ -1,6 +1,7 @@
 """Tests for scalar SC decoding against hand-unrolled forms and roundtrips."""
 
 import itertools
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -16,8 +17,11 @@ from polarsc import (
     decide_odd,
     decode,
     encode,
+    f_exact,
     f_minsum,
     g_fn,
+    qf_minsum,
+    qg_fn,
     quantize,
     sign_bit,
 )
@@ -46,34 +50,45 @@ def unrolled4(llrs, mask, shortcut):
     return [u0, u1, u2, u3]
 
 
-def reference_decode(llrs, mask, clip=None):
+def reference_decode(llrs, mask, kernel=None, clip=None):
     """
-    Independent loop-based SC decode (min-sum, shortcut decisions).
+    Independent loop-based SC decode on the scalar arithmetic of polarsc.llr.
 
-    Also reports the largest variable-node output magnitude seen, which is
-    what a saturating fixed-point datapath would clip.
+    Takes floats for float kernels and QLlr words for the quantized kernel;
+    partial sums come from ``encode``. Also reports the largest variable-node
+    output magnitude seen, which is what a saturating fixed-point datapath
+    would clip; ``clip`` saturates float variable-node outputs.
     """
+    kernel = kernel or DecoderKernel.min_sum()
+    if kernel.arithmetic == "quantized":
+        f, g, sgn, mag = qf_minsum, qg_fn, attrgetter("sign"), attrgetter("magnitude")
+    else:
+        f = f_minsum if kernel.arithmetic == "minsum" else f_exact
+        g, sgn, mag = g_fn, sign_bit, abs
+    shortcut = kernel.decision == "shortcut"
     peak = 0.0
 
     def rec(ll, a):
         nonlocal peak
         if len(ll) == 2:
             lam1, lam2 = ll
-            u0 = sign_bit(f_minsum(lam1, lam2)) & a[0]
+            u0 = sgn(f(lam1, lam2)) & a[0]
             if a[1] == 0:
                 u1 = 0
-            elif abs(lam2) >= abs(lam1):
-                u1 = sign_bit(lam2)
+            elif not shortcut:
+                u1 = sgn(g(lam1, lam2, u0))
+            elif mag(lam2) >= mag(lam1):
+                u1 = sgn(lam2)
             else:
-                u1 = sign_bit(lam1) ^ u0
+                u1 = sgn(lam1) ^ u0
             return [u0, u1]
         half = len(ll) // 2
-        left = rec([f_minsum(ll[2 * j], ll[2 * j + 1]) for j in range(half)], a[:half])
+        left = rec([f(ll[2 * j], ll[2 * j + 1]) for j in range(half)], a[:half])
         v = encode(left)
         right_in = []
         for j in range(half):
-            value = g_fn(ll[2 * j], ll[2 * j + 1], int(v[j]))
-            peak = max(peak, abs(value))
+            value = g(ll[2 * j], ll[2 * j + 1], int(v[j]))
+            peak = max(peak, mag(value))
             if clip is not None:
                 value = max(-clip, min(clip, value))
             right_in.append(value)
@@ -100,6 +115,10 @@ class TestBaseCase:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             decode([1.0, -1.0], [1])
+
+    def test_rejects_non_bit_mask(self):
+        with pytest.raises(ValueError):
+            decode([1.0, -1.0], [0.5, 1])
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
@@ -289,16 +308,29 @@ class TestFrozenZero:
             assert not out[mask == 0].any()
 
 
+ORACLE_KERNELS = {
+    f"{arithmetic}-{decision}": DecoderKernel(arithmetic, decision)
+    for arithmetic in ("minsum", "exact")
+    for decision in ("shortcut", "plain")
+}
+ORACLE_KERNELS.update(
+    {f"q5-{decision}": DecoderKernel.quantized(Q5, decision) for decision in ("shortcut", "plain")}
+)
+
+
 class TestAgainstReferenceDecoder:
+    @pytest.mark.parametrize("kernel", ORACLE_KERNELS.values(), ids=ORACLE_KERNELS.keys())
     @given(n_exp=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_matches_independent_recursion(self, n_exp, seed):
+    def test_matches_independent_recursion(self, kernel, n_exp, seed):
         rng = np.random.default_rng(seed)
         n = 2**n_exp
         mask = rng.integers(0, 2, n, dtype=np.uint8)
         llrs = rng.normal(scale=3.0, size=n)
-        want, _ = reference_decode(llrs, mask)
-        assert np.array_equal(decode(llrs, mask), want)
+        if kernel.arithmetic == "quantized":
+            llrs = to_words(llrs)
+        want, _ = reference_decode(llrs, mask, kernel)
+        assert np.array_equal(decode(llrs, mask, kernel), want)
 
 
 class TestArithmeticModeAgreement:
@@ -312,12 +344,13 @@ class TestArithmeticModeAgreement:
             n = 2 ** int(rng.integers(1, 7))
             mask = rng.integers(0, 2, n, dtype=np.uint8)
             llrs = rng.integers(-3, 4, n).astype(float)
-            _, peak = reference_decode(llrs, mask)
+            want, peak = reference_decode(llrs, mask)
             if peak > Q5.max_magnitude:
                 continue
             f_out = decode(llrs, mask)
             q_out = decode(to_words(llrs), mask, kernel_q)
-            assert np.array_equal(f_out, q_out)
+            assert np.array_equal(f_out, want)
+            assert np.array_equal(q_out, want)
             agreeing += 1
         assert agreeing >= 50
 
@@ -334,9 +367,10 @@ class TestArithmeticModeAgreement:
 
 class TestStructuralCounts:
     def test_recursion_anchors(self):
-        from polarsc import structural_unit_counts
+        from polarsc import ComplexityCounts, structural_unit_counts
 
         counts = structural_unit_counts(4)
+        assert isinstance(counts, ComplexityCounts)
         assert (counts.check_comparators, counts.decision_comparators, counts.adders) == (2, 2, 4)
         assert structural_unit_counts(8).total == 28
 
@@ -345,3 +379,8 @@ class TestStructuralCounts:
 
         with pytest.raises(ValueError):
             structural_unit_counts(2)
+
+    def test_one_counts_type(self):
+        import polarsc
+
+        assert not hasattr(polarsc, "UnitCounts")

@@ -12,11 +12,14 @@ from polarsc import (
     component_inputs,
     construct_frozen_mask,
     decode,
+    encode,
+    g_fn,
     hybrid_decode,
     latency_gain,
     quantize,
     semi_parallel_latency,
 )
+from test_decoder import reference_decode
 
 # published reference rows: (N, P, f_c Hz, N', component TP b/s, gain, hybrid Mb/s)
 REFERENCE_ROWS = [
@@ -48,13 +51,25 @@ class TestComponentSplit:
         assert component_inputs(llrs, [], 2) == pytest.approx(want)
         assert lam == pytest.approx(level1)
 
+    def test_second_component_from_decode_output(self):
+        # decode returns uint8 bits; they must form partial sums as 0/1 ints
+        rng = np.random.default_rng(2)
+        mask = construct_frozen_mask(8, 4)
+        u = np.array([0, 0, 0, 1, 0, 1, 1, 0], dtype=np.uint8)
+        llrs = 3.0 * (1.0 - 2.0 * encode(u)) + rng.normal(scale=0.3, size=8)
+        decided = decode(llrs, mask)[:4]
+        assert decided.dtype == np.uint8 and decided[3] == 1
+        v = encode(decided)
+        want = [g_fn(llrs[2 * j], llrs[2 * j + 1], int(v[j])) for j in range(4)]
+        assert component_inputs(llrs, decided, 4) == pytest.approx(want)
+
 
 class TestTransparency:
     def test_degenerate_split_is_plain_decode(self):
         rng = np.random.default_rng(1)
         mask = construct_frozen_mask(16, 8)
         llrs = rng.normal(size=16)
-        assert np.array_equal(hybrid_decode(llrs, mask, 16), decode(llrs, mask))
+        assert np.array_equal(hybrid_decode(llrs, mask, 16), reference_decode(llrs, mask)[0])
 
     @pytest.mark.parametrize("n", [8, 16, 64, 256])
     def test_all_divisors_match_full_decode(self, n):
@@ -62,7 +77,7 @@ class TestTransparency:
         for _ in range(8):
             mask = rng.integers(0, 2, n, dtype=np.uint8)
             llrs = rng.normal(scale=3.0, size=n)
-            want = decode(llrs, mask)
+            want, _ = reference_decode(llrs, mask)
             n_prime = 2
             while n_prime <= n:
                 got = hybrid_decode(llrs, mask, n_prime)
@@ -74,7 +89,7 @@ class TestTransparency:
         kernel = DecoderKernel.quantized(QFormat(5))
         mask = construct_frozen_mask(32, 20)
         words = [quantize(v, kernel.qformat) for v in rng.normal(scale=6.0, size=32)]
-        want = decode(words, mask, kernel)
+        want, _ = reference_decode(words, mask, kernel)
         for n_prime in (2, 4, 8, 16, 32):
             assert np.array_equal(hybrid_decode(words, mask, n_prime, kernel), want)
 

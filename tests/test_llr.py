@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,6 +134,12 @@ class TestG:
         with pytest.raises(ValueError):
             g_fn(1, 2, 2)
 
+    @pytest.mark.parametrize("bit_type", [np.uint8, np.int64, np.bool_])
+    def test_numpy_bits(self, bit_type):
+        # 1 - 2*np.uint8(1) wraps to 255 unless the bit is taken as an int
+        assert g_fn(2.0, 3.0, bit_type(1)) == 1.0
+        assert g_fn(2.0, 3.0, bit_type(0)) == 5.0
+
 
 class TestQuantize:
     def test_zero(self):
@@ -205,6 +212,14 @@ class TestQuantizedOps:
     def test_saturation_detector(self):
         assert qg_saturates(QLlr(0, 15, 5), QLlr(0, 1, 5), 0)
         assert not qg_saturates(QLlr(0, 15, 5), QLlr(1, 1, 5), 0)
+
+    @pytest.mark.parametrize("bit_type", [np.uint8, np.int64, np.bool_])
+    def test_numpy_bits(self, bit_type):
+        a, b = QLlr(1, 2, 5), QLlr(0, 3, 5)
+        assert qg_fn(a, b, bit_type(1)) == QLlr(0, 5, 5)
+        assert qg_fn(a, b, bit_type(0)) == QLlr(0, 1, 5)
+        assert not qg_saturates(a, b, bit_type(1))
+        assert qg_saturates(QLlr(1, 15, 5), QLlr(0, 1, 5), bit_type(1))
 
     def test_normalization_invariant_exhaustive(self):
         for a, b in itertools.product(Q5_WORDS, Q5_WORDS):

@@ -1,4 +1,4 @@
-"""Bit-exactness of the batched kernels against the scalar reference."""
+"""Bit-exactness of the batched kernels against the scalar references."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from polarsc import (
     DecoderKernel,
     QFormat,
     QLlr,
-    decode,
     decode_batch,
     encode,
     encode_batch,
@@ -17,6 +16,7 @@ from polarsc import (
     quantize_batch,
 )
 from polarsc.vectorized import BLOCK_FRAMES
+from test_decoder import reference_decode
 
 Q5 = QFormat(5)
 
@@ -63,10 +63,30 @@ class TestQuantizeBatch:
         with pytest.raises(ValueError):
             quantize_batch(np.array([[1.0, bad]]), Q5)
 
+    @pytest.mark.parametrize("bits", [16, 32, 33, 40, 55, 63, 64])
+    def test_wide_formats_saturate_like_scalar(self, bits):
+        # from 54 bits float(max_magnitude) rounds up past max_magnitude
+        fmt = QFormat(bits)
+        top = float(fmt.max_magnitude)
+        values = np.array([1e30, 1e12, top, np.nextafter(top, 0), top / 2, 2.5, 0.4, 0.0])
+        values = np.concatenate([values, -values])
+        batch = quantize_batch(values, fmt)
+        for i, v in enumerate(values):
+            assert batch[i] == quantize(float(v), fmt).value, v
+
+    def test_decode_batch_round_trip_at_40_bits(self):
+        fmt = QFormat(40)
+        rng = np.random.default_rng(40)
+        mask = np.array([0, 0, 0, 1, 0, 1, 1, 1] * 2, dtype=np.uint8)
+        u = rng.integers(0, 2, (16, 16), dtype=np.uint8) * mask
+        llrs = 3e11 * (1.0 - 2.0 * encode_batch(u))
+        words = quantize_batch(llrs, fmt)
+        assert np.array_equal(decode_batch(words, mask, DecoderKernel.quantized(fmt)), u)
+
 
 def _scalar_quantized(llr_row, mask, kernel):
     words = [quantize(float(v), kernel.qformat) for v in llr_row]
-    return decode(words, mask, kernel)
+    return reference_decode(words, mask, kernel)[0]
 
 
 class TestDecodeBatch:
@@ -80,7 +100,7 @@ class TestDecodeBatch:
             llrs = rng.normal(scale=3.0, size=(12, n))
             batch = decode_batch(llrs, mask, kernel)
             for row in range(len(llrs)):
-                assert np.array_equal(batch[row], decode(llrs[row], mask, kernel))
+                assert np.array_equal(batch[row], reference_decode(llrs[row], mask, kernel)[0])
 
     def test_integer_llrs_exercise_ties(self):
         # equal magnitudes hit the shortcut's tie branch; zero hits sign rules
@@ -90,7 +110,7 @@ class TestDecodeBatch:
             llrs = rng.integers(-3, 4, (64, n)).astype(float)
             batch = decode_batch(llrs, mask)
             for row in range(len(llrs)):
-                assert np.array_equal(batch[row], decode(llrs[row], mask))
+                assert np.array_equal(batch[row], reference_decode(llrs[row], mask)[0])
 
     def test_quantized_kernel_matches_scalar(self):
         rng = np.random.default_rng(7)
@@ -157,11 +177,11 @@ def _assert_rows_match_scalar(llrs, mask, kernel):
             scalar_in = [QLlr.from_value(int(v), kernel.qformat.bits) for v in llrs[row]]
         else:
             scalar_in = llrs[row]
-        assert np.array_equal(batch[row], decode(scalar_in, mask, kernel)), row
+        assert np.array_equal(batch[row], reference_decode(scalar_in, mask, kernel)[0]), row
 
 
 class TestScheduleEquivalence:
-    """decode_batch against scalar decode on inputs that stress each step."""
+    """decode_batch against the reference decoder on inputs that stress each step."""
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=str)
     def test_tie_and_zero_heavy_integer_llrs(self, kernel):
