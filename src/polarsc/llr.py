@@ -32,6 +32,9 @@ def f_exact(l1, l2):
     # numpy's exp and log1p, not math's: they can differ in the last place, and
     # the batched kernel in polarsc.vectorized must agree bit for bit
     mag = lo + float(np.log1p(np.exp(-(lo + hi)))) - float(np.log1p(np.exp(-(hi - lo))))
+    # the exact magnitude lies in [0, lo]; when lo is tiny the two corrections
+    # cancel to a rounding error that can leave it outside (NaN passes through)
+    mag = min(max(mag, 0.0), lo)
     return (1 - 2 * sign_bit(l1)) * (1 - 2 * sign_bit(l2)) * mag
 
 

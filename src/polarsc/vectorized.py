@@ -97,10 +97,12 @@ def _f_exact(a, b, out, x, y):
     # lo + log1p(exp(-(lo + hi))) - log1p(exp(-(hi - lo))), as the scalar kernel
     near = np.log1p(np.exp(np.negative(np.add(lo, hi, out=y), out=y), out=y), out=y)
     far = np.log1p(np.exp(np.negative(np.subtract(hi, lo, out=x), out=x), out=x), out=x)
-    mag = np.subtract(np.add(lo, near, out=lo), far, out=lo)
-    # the correction can leave a tiny negative magnitude; the scalar kernel
-    # multiplies it by the sign product, so copysign would not be identical
-    np.multiply(np.copysign(1.0, np.multiply(a, b, out=x), out=x), mag, out=out)
+    mag = np.subtract(np.add(near, lo, out=y), far, out=y)
+    # clamp to [0, lo] as the scalar kernel does; lo stays in out
+    np.maximum(np.minimum(mag, lo, out=out), 0.0, out=out)
+    # the scalar kernel multiplies the magnitude by the sign product, so the
+    # sign of a zero result follows it; copysign would not be identical
+    np.multiply(np.copysign(1.0, np.multiply(a, b, out=x), out=x), out, out=out)
 
 
 def _word_f(dtype):

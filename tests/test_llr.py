@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarsc import (
@@ -96,6 +96,7 @@ class TestFExact:
         assert f_exact(a, b) == pytest.approx(want, rel=1e-13, abs=1e-13)
 
     @given(a=finite, b=finite)
+    @example(a=0.25, b=6.789995878175484e-17)
     def test_never_overestimates_minsum(self, a, b):
         assert abs(f_exact(a, b)) <= abs(f_minsum(a, b))
 
