@@ -9,13 +9,6 @@ from .code import (
     load_mask,
     save_mask,
 )
-from .decoder import (
-    DecoderKernel,
-    decide_even_simplified,
-    decide_odd,
-    decode,
-    structural_unit_counts,
-)
 from .hardware import (
     ComplexityCounts,
     GateDelays,
@@ -28,6 +21,7 @@ from .hardware import (
     dynamic_power,
     metrics,
     report,
+    structural_unit_counts,
 )
 from .hybrid import (
     DEFAULT_COMB_THROUGHPUT_BPS,
@@ -41,6 +35,8 @@ from .hybrid import (
 from .llr import (
     QFormat,
     QLlr,
+    decide_even_simplified,
+    decide_odd,
     f_exact,
     f_minsum,
     g_fn,
@@ -61,6 +57,6 @@ from .simulate import (
     run_sweep,
     write_csv,
 )
-from .vectorized import decode_batch, encode_batch, quantize_batch
+from .vectorized import DecoderKernel, decode, decode_batch, encode_batch, quantize_batch
 
 __version__ = "0.1.0"

@@ -9,10 +9,9 @@ import numpy as np
 
 from . import code as polar
 from . import hardware, hybrid, simulate
-from .decoder import DecoderKernel
 from .llr import QFormat
 from .pipeline import PipelineTimingModel, pipeline_throughput
-from .vectorized import BLOCK_FRAMES, decode_batch, encode_batch, quantize_batch
+from .vectorized import BLOCK_FRAMES, DecoderKernel, decode_batch, encode_batch, quantize_batch
 
 
 def _kernel_from_flags(args):
@@ -75,8 +74,12 @@ def _cmd_encode(args):
     spec = polar.CodeSpec(len(mask), mask)
     frames = _read_frames(args.infile, spec.k, "data bits")
     while block := list(islice(frames, BLOCK_FRAMES)):
+        bits = np.array([[int(b) for b in fields] for fields in block])
+        # checked before the uint8 array, where -1 or 256 would not fit
+        if np.any((bits < 0) | (bits > 1)):
+            raise ValueError("data bits must be 0 or 1")
         u = np.zeros((len(block), spec.n), dtype=np.uint8)
-        u[:, spec.data_indices] = [[int(b) for b in fields] for fields in block]
+        u[:, spec.data_indices] = bits
         for x in encode_batch(u):
             print(" ".join(str(int(b)) for b in x))
     return 0

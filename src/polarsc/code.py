@@ -6,9 +6,9 @@ from functools import lru_cache
 import numpy as np
 
 
-def _require_power_of_two(n):
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValueError(f"length must be a power of two, got {n}")
+def _require_power_of_two(n, minimum=1, noun="length"):
+    if n < minimum or (n & (n - 1)) != 0:
+        raise ValueError(f"{noun} must be a power of two >= {minimum}, got {n}")
 
 
 def _as_bits(u):
@@ -114,9 +114,7 @@ def construct_frozen_mask(n, k, design_erasure=0.5):
     ndarray
         uint8 mask of length n with exactly k ones.
     """
-    _require_power_of_two(n)
-    if n < 2:
-        raise ValueError(f"block length must be >= 2, got {n}")
+    _require_power_of_two(n, 2, "block length")
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
     if not 0.0 < design_erasure < 1.0:

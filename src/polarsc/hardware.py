@@ -5,6 +5,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
+from .code import _require_power_of_two
+
 
 @dataclass(frozen=True)
 class GateDelays:
@@ -32,11 +34,6 @@ class GateDelays:
         return self.comparator >= 3 * self.xor + self.and_gate
 
 
-def _check_block_length(n, minimum):
-    if n < minimum or (n & (n - 1)) != 0:
-        raise ValueError(f"block length must be a power of two >= {minimum}, got {n}")
-
-
 @dataclass(frozen=True)
 class ComplexityCounts:
     """Hardware blocks of a combinational decoder, by kind."""
@@ -58,9 +55,30 @@ def complexity(n):
     adders/subtractors N*log2(N/2); the total equals N*(1.5*log2(N) - 1).
     The counts are anchored at the length-4 base block (2 check comparators).
     """
-    _check_block_length(n, 4)
+    _require_power_of_two(n, 4, "block length")
     stages = int(math.log2(n)) - 1
     return ComplexityCounts(n // 2 * stages, n // 2, n * stages)
+
+
+def structural_unit_counts(n):
+    """
+    Walk the decode recursion and tally its hardware building blocks.
+
+    The length-4 base block carries 2 check-node comparators, 2 decision
+    comparators (odd bits only; even decisions reduce to sign XORs) and 4
+    adders/subtractors (each variable-node unit precomputes both the sum and
+    the difference). Each larger level adds N/2 check units and N/2
+    variable-node units of glue.
+    """
+    _require_power_of_two(n, 4, "block length")
+    if n == 4:
+        return ComplexityCounts(2, 2, 4)
+    sub = structural_unit_counts(n // 2)
+    return ComplexityCounts(
+        2 * sub.check_comparators + n // 2,
+        2 * sub.decision_comparators,
+        2 * sub.adders + n,
+    )
 
 
 def _warn_if_optimistic(d):
@@ -85,7 +103,7 @@ def delay_recursive(n, d):
     Each level above the base adds a comparator stage, two mux stages, and the
     partial-sum encoder path of log2(N/2) XORs. Excludes interconnect.
     """
-    _check_block_length(n, 8)
+    _require_power_of_two(n, 8, "block length")
     delay = base_block_delay(d)
     m = 8
     while m <= n:
@@ -101,7 +119,7 @@ def delay_closed(n, d):
     N*(1.5*mux + comparator + xor + 0.5*and) minus a logarithmic correction;
     agrees exactly with :func:`delay_recursive` when interconnect is zero.
     """
-    _check_block_length(n, 8)
+    _require_power_of_two(n, 8, "block length")
     _warn_if_optimistic(d)
     linear = n * (1.5 * d.mux + d.comparator + d.xor + 0.5 * d.and_gate)
     correction = d.comparator + 2 * d.mux + (math.log2(n) + 1) * d.xor

@@ -6,10 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import _bit_reversal, encode
-from .decoder import DecoderKernel, _as_row
+from .code import _require_power_of_two
 from .llr import QLlr
-from .vectorized import _F, _LEAF, _checked, _compile, _State, decode_batch
+from .vectorized import DecoderKernel, _compile, _State, _subtrees, decode_batch
 
 # Measured throughputs (b/s) of the combinational core on a mid-range FPGA,
 # used to derive default component-decoder delays D = N'/TP.
@@ -22,40 +21,25 @@ class _FrontEnd:
     with every length-N' subtree cut out.
 
     Iterating runs the schedule up to each component in turn and yields the
-    component's offset and input LLRs (in natural order); the caller hands
-    its N' decisions to :meth:`take` before the walk goes on.
+    component's offset and input LLRs (a one-row matrix); the caller writes
+    its N' decisions with ``state.decide`` before the walk goes on.
     """
 
     def __init__(self, llrs, mask, n_prime, kernel):
-        row = _checked(_as_row(llrs, kernel)[None], kernel)
-        n = row.shape[1]
-        if n_prime < 2 or (n_prime & (n_prime - 1)) != 0 or n % n_prime != 0:
+        self.state = _State.one_frame(llrs, kernel)
+        n = self.state.n
+        # a divisor >= 2 of a power of two is one
+        if n_prime < 2 or n % n_prime != 0:
             raise ValueError(f"component length {n_prime} must be a power of two dividing {n}")
-        self.n, self.n_prime = n, n_prime
+        self.n_prime = n_prime
         self.ops = _compile(mask, n)
-        self.state = _State(kernel, n, 1)
-        self.state.load(row)
-        self.perm = _bit_reversal(n_prime)
 
     def __iter__(self):
-        # a length-N' subtree starts with its f (its leaf when N' = 2) and
-        # spans 2N' - 3 ops; the front end runs the ops in between
-        h, span = self.n_prime // 2, 2 * self.n_prime - 3
-        pos = i = 0
-        while i < len(self.ops):
-            kind, size, off = self.ops[i][:3]
-            if size == h and kind in (_F, _LEAF):
-                self.state.run(self.ops[pos:i])
-                # the subtree's input LLRs sit bit-reversed in rows [N', 2N')
-                yield off, self.state.llr[self.n_prime : 2 * self.n_prime, 0][self.perm]
-                pos = i = i + span
-            else:
-                i += 1
-
-    def take(self, off, bits):
-        """Write a component's decisions as ``u`` and as re-encoded multipliers."""
-        self.state.u[off : off + self.n_prime, 0] = bits
-        self.state.mult[off : off + self.n_prime, 0] = np.where(encode(bits)[self.perm], -1, 1)
+        pos = 0
+        for off, start, stop in _subtrees(self.ops, self.n_prime):
+            self.state.run(self.ops[pos:start])
+            yield off, self.state.node_llrs(self.n_prime)
+            pos = stop
 
 
 def component_inputs(llrs, decided, n_prime, kernel=None):
@@ -73,14 +57,14 @@ def component_inputs(llrs, decided, n_prime, kernel=None):
     # the front end runs no leaf, so the mask does not change its ops
     front = _FrontEnd(llrs, np.zeros(len(llrs)), n_prime, kernel)
     target = len(decided) // n_prime * n_prime
-    if target >= front.n:
-        raise ValueError(f"{len(decided)} decided bits leave no component of a length-{front.n} code")
+    if target >= front.state.n:
+        raise ValueError(f"{len(decided)} decided bits leave no component of a length-{front.state.n} code")
     for off, lam in front:
         if off == target:
             if kernel.arithmetic == "quantized":
-                return [QLlr.from_value(int(v), kernel.qformat.bits) for v in lam]
-            return lam.tolist()
-        front.take(off, decided[off : off + n_prime])
+                return [QLlr.from_value(int(v), kernel.qformat.bits) for v in lam[0]]
+            return lam[0].tolist()
+        front.state.decide(off, [decided[off : off + n_prime]])
 
 
 def hybrid_decode(llrs, mask, n_prime, kernel=None):
@@ -108,8 +92,8 @@ def hybrid_decode(llrs, mask, n_prime, kernel=None):
     mask = np.asarray(mask)
     front = _FrontEnd(llrs, mask, n_prime, kernel)
     for off, lam in front:
-        front.take(off, decode_batch(lam[None], mask[off : off + n_prime], kernel)[0])
-    return front.state.u[:, 0].astype(np.uint8)
+        front.state.decide(off, decode_batch(lam, mask[off : off + n_prime], kernel))
+    return front.state.decisions()[0]
 
 
 def semi_parallel_latency(n, p):
@@ -119,8 +103,7 @@ def semi_parallel_latency(n, p):
     Evaluates 2N + (N/P)*log2(N/(4P)). Only defined for P <= N/4, where the
     logarithm is nonnegative.
     """
-    if n < 4 or (n & (n - 1)) != 0:
-        raise ValueError(f"block length must be a power of two >= 4, got {n}")
+    _require_power_of_two(n, 4, "block length")
     if p < 1:
         raise ValueError(f"processing-element count must be >= 1, got {p}")
     if p > n / 4:
@@ -142,8 +125,7 @@ class HybridConfig:
     comb_delay_s: float
 
     def __post_init__(self):
-        if self.n_prime < 2 or (self.n_prime & (self.n_prime - 1)) != 0:
-            raise ValueError(f"component length must be a power of two, got {self.n_prime}")
+        _require_power_of_two(self.n_prime, 2, "component length")
         if self.n % self.n_prime != 0:
             raise ValueError(f"component length {self.n_prime} must divide {self.n}")
         if self.f_c_hz <= 0 or self.comb_delay_s <= 0:

@@ -11,6 +11,40 @@ def sign_bit(llr):
     return 0 if llr >= 0 else 1
 
 
+def decide_odd(lam1, lam2, u_even, a_odd):
+    """
+    Odd-bit decision shortcut.
+
+    Returns 0 for a frozen position; the sign of lam2 when |lam2| >= |lam1|;
+    otherwise the sign of lam1 XORed with the preceding even decision. Agrees
+    with the sign of the variable-node update whenever |lam1| != |lam2|.
+    """
+    if a_odd == 0:
+        return 0
+    if isinstance(lam1, QLlr):
+        if lam2.magnitude >= lam1.magnitude:
+            return lam2.sign
+        return lam1.sign ^ u_even
+    if abs(lam2) >= abs(lam1):
+        return sign_bit(lam2)
+    return sign_bit(lam1) ^ u_even
+
+
+def decide_even_simplified(l0, l1, l2, l3, a_even):
+    """
+    Even-bit decision as the XOR of four sign bits, gated by the mask bit.
+
+    Matches the nested check-node form whenever no intermediate magnitude is
+    exactly zero; a zero magnitude normalizes its sign to 0, which the pure
+    sign XOR cannot see.
+    """
+    if isinstance(l0, QLlr):
+        signs = l0.sign ^ l1.sign ^ l2.sign ^ l3.sign
+    else:
+        signs = sign_bit(l0) ^ sign_bit(l1) ^ sign_bit(l2) ^ sign_bit(l3)
+    return signs & a_even
+
+
 def f_minsum(l1, l2):
     """
     Min-sum check-node update: sign product times magnitude minimum.

@@ -5,9 +5,8 @@ from typing import Optional
 
 import numpy as np
 
-from .code import _bit_reversal
-from .decoder import DecoderKernel, _as_row
-from .vectorized import _G, _checked, _compile, _State
+from .code import _require_power_of_two
+from .vectorized import DecoderKernel, _compile, _State, _subtrees
 
 
 @dataclass
@@ -20,13 +19,11 @@ class StageRegisters:
 
     @property
     def first_half(self):
-        half = len(self.state.u) // 2
-        return [int(b) for b in self.state.u[:half, 0]]
+        return self.state.decisions()[0, : self.state.n // 2].tolist()
 
     @property
     def partial_sums(self):
-        half = len(self.state.u) // 2
-        return [int(m < 0) for m in self.state.mult[_bit_reversal(half), 0]]
+        return self.state.node_bits(0, self.state.n // 2)[0].tolist()
 
 
 class PipelinedDecoder:
@@ -53,16 +50,15 @@ class PipelinedDecoder:
     def __init__(self, mask, stages=1, kernel=None):
         self.mask = [int(b) for b in mask]
         n = len(self.mask)
-        if n < 4 or (n & (n - 1)) != 0:
-            raise ValueError(f"mask length must be a power of two >= 4, got {n}")
+        _require_power_of_two(n, 4, "mask length")
         if stages < 0:
             raise ValueError(f"stage count must be >= 0, got {stages}")
         self.n = n
         self.stages = stages
         self.kernel = kernel if kernel is not None else DecoderKernel.min_sum()
         ops = _compile(mask, n)
-        # the first half ends where the root's g starts
-        cut = ops.index((_G, n // 2, 0))
+        # the first half decodes the root's first child
+        _, _, cut = next(_subtrees(ops, n // 2))
         self._halves = ops[:cut], ops[cut:]
         self.banks: list[Optional[StageRegisters]] = [None] * stages
         self._out_reg: Optional[np.ndarray] = None
@@ -73,16 +69,6 @@ class PipelinedDecoder:
         """Codewords accepted but not yet presented at the output."""
         pending = sum(1 for b in self.banks if b is not None)
         return pending + (1 if self._out_reg is not None else 0)
-
-    def _first_half(self, llrs):
-        state = _State(self.kernel, self.n, 1)
-        state.load(_checked(_as_row(llrs, self.kernel)[None], self.kernel))
-        state.run(self._halves[0])
-        return StageRegisters(state)
-
-    def _second_half(self, bank):
-        bank.state.run(self._halves[1])
-        return bank.state.u[:, 0].astype(np.uint8)
 
     def step(self, llrs=None):
         """
@@ -99,27 +85,21 @@ class PipelinedDecoder:
             The decision vector visible at the output registers during this
             cycle (the codeword accepted S+1 cycles earlier), or None.
         """
-        visible = self._out_reg
-        last = self.banks[-1] if self.stages else None
-        if self.stages:
-            # drain the last bank into the output register, shift the rest
-            self._out_reg = self._second_half(last) if last is not None else None
-            for i in range(self.stages - 1, 0, -1):
-                self.banks[i] = self.banks[i - 1]
-            if llrs is not None:
-                if len(llrs) != self.n:
-                    raise ValueError(f"expected {self.n} LLRs, got {len(llrs)}")
-                self.banks[0] = self._first_half(llrs)
-            else:
-                self.banks[0] = None
-        else:
-            if llrs is not None:
-                if len(llrs) != self.n:
-                    raise ValueError(f"expected {self.n} LLRs, got {len(llrs)}")
-                bank = self._first_half(llrs)
-                self._out_reg = self._second_half(bank)
-            else:
-                self._out_reg = None
+        bank = None
+        if llrs is not None:
+            # a rejected input raises here, before any register changes
+            if len(llrs) != self.n:
+                raise ValueError(f"expected {self.n} LLRs, got {len(llrs)}")
+            bank = StageRegisters(_State.one_frame(llrs, self.kernel))
+            bank.state.run(self._halves[0])
+        visible, self._out_reg = self._out_reg, None
+        # the banks shift one stage; the one that falls off the end (the new
+        # one when S = 0) drains through the second half into the output register
+        self.banks.insert(0, bank)
+        last = self.banks.pop()
+        if last is not None:
+            last.state.run(self._halves[1])
+            self._out_reg = last.state.decisions()[0]
         self.cycle += 1
         return visible
 

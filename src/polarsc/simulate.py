@@ -4,13 +4,12 @@ import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .code import CodeSpec
-from .decoder import DecoderKernel
-from .vectorized import decode_batch, encode_batch, quantize_batch
+from .vectorized import DecoderKernel, decode_batch, encode_batch, quantize_batch
 
 CSV_HEADER = "snr_db,trials,frame_errors,bit_errors,fer,ber,ci95"
 
@@ -91,7 +90,7 @@ class FerPoint:
 
     @property
     def ber(self):
-        total = self.trials * self._k if self._k else 0
+        total = self.trials * self.k
         return self.bit_errors / total if total else 0.0
 
     @property
@@ -99,24 +98,20 @@ class FerPoint:
         p = self.fer
         return 1.96 * math.sqrt(p * (1.0 - p) / self.trials)
 
-    # data-bit count, carried for the BER denominator
-    _k: int = 0
+    # data-bit count, the BER denominator
+    k: int = 0
 
 
 def _chunk_counts(args):
     """Simulate one chunk of trials; pure function of its arguments."""
-    mask, kernel, sigma2, seed, point_index, chunk_index, trials = args
+    mask, kernel, chan, seed, point_index, chunk_index, trials = args
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(point_index, chunk_index))
     rng = np.random.Generator(np.random.Philox(ss))
-    n = len(mask)
     data_idx = np.flatnonzero(mask)
-    u = np.zeros((trials, n), dtype=np.uint8)
+    u = np.zeros((trials, len(mask)), dtype=np.uint8)
     data = rng.integers(0, 2, size=(trials, len(data_idx)), dtype=np.uint8)
     u[:, data_idx] = data
-    x = encode_batch(u)
-    noise = rng.standard_normal((trials, n))
-    y = (1.0 - 2.0 * x.astype(np.float64)) + math.sqrt(sigma2) * noise
-    llrs = 2.0 * y / sigma2
+    llrs = channel_llrs(encode_batch(u), chan, rng)
     if kernel.arithmetic == "quantized":
         llrs = quantize_batch(llrs, kernel.qformat)
     u_hat = decode_batch(llrs, mask, kernel)
@@ -126,7 +121,7 @@ def _chunk_counts(args):
     return trials, frame_errors, bit_errors
 
 
-def _chunk_args(config, sigma2, point_index):
+def _chunk_args(config, chan, point_index):
     total = 0
     chunk_index = 0
     while total < config.max_trials:
@@ -134,7 +129,7 @@ def _chunk_args(config, sigma2, point_index):
         yield (
             config.code.mask,
             config.kernel,
-            sigma2,
+            chan,
             config.seed,
             point_index,
             chunk_index,
@@ -174,7 +169,6 @@ def run_point(config, snr_db, point_index=None, jobs=1):
             raise ValueError(f"SNR {snr_db} dB is not on the grid; pass point_index")
         point_index = config.snr_db.index(float(snr_db))
     chan = AwgnChannel(snr_db, config.code.rate if config.code.k else 1.0)
-    sigma2 = chan.noise_variance
     trials = frame_errors = bit_errors = 0
 
     def fold(result):
@@ -184,7 +178,7 @@ def run_point(config, snr_db, point_index=None, jobs=1):
         bit_errors += result[2]
         return frame_errors >= config.min_frame_errors
 
-    args = list(_chunk_args(config, sigma2, point_index))
+    args = list(_chunk_args(config, chan, point_index))
     if jobs <= 1:
         for arg in args:
             if fold(_chunk_counts(arg)):
@@ -200,7 +194,7 @@ def run_point(config, snr_db, point_index=None, jobs=1):
                         break
                 if done:
                     break
-    return FerPoint(float(snr_db), trials, frame_errors, bit_errors, _k=config.code.k)
+    return FerPoint(float(snr_db), trials, frame_errors, bit_errors, k=config.code.k)
 
 
 def run_sweep(config, jobs=1):

@@ -1,20 +1,28 @@
 """The SC decode engine, and batched numpy encode and quantize, one row per frame.
 
+:class:`DecoderKernel` selects the arithmetic and the odd-bit decision rule.
 :func:`decode_batch` runs the SC recursion as a flat schedule compiled once
 per frozen mask. Frames sit in the last axis of an (N, frames) block, the
 channel LLRs are bit-reversed on entry so that every node reads its two
 halves as contiguous row ranges, and each node hands its re-encoded bits up
 as +/-1 multipliers, so the variable-node update is one multiply and one add.
-Scalar decoding, the pipeline halves (the schedule cut at the root) and the
-hybrid front end (the schedule with its length-N' subtrees cut out) run the
-same schedule on a one-frame state.
+
+This module is the only one that knows the schedule's steps and the buffer
+layout. Scalar :func:`decode` is a batch of one. The pipeline model and the
+hybrid decoder run slices of the schedule on a one-frame ``_State``: they
+find their cuts with ``_subtrees`` (the op range of each subtree of a given
+length) and read and write node LLRs, re-encoded bits and decisions through
+the state's accessors, in natural order.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
-from .code import _bit_reversal, _polar_transform
+from .code import _bit_reversal, _polar_transform, _require_power_of_two
+from .llr import QFormat, QLlr
 
 # Frames decoded together. The buffers take 29 bytes per frame and position for
 # float LLRs, so this bounds the working set of a large batch (about 30 MB at N=1024).
@@ -22,15 +30,53 @@ BLOCK_FRAMES = 1024
 
 _F, _G, _COMBINE, _LEAF = range(4)
 
+_ARITHMETICS = ("minsum", "exact", "quantized")
+_DECISIONS = ("shortcut", "plain")
+
+
+@dataclass(frozen=True)
+class DecoderKernel:
+    """
+    Arithmetic and decision-rule selection for the SC decoder.
+
+    ``arithmetic`` picks the check-node update: "minsum" (float sign/min),
+    "exact" (float tanh-domain), or "quantized" (sign-magnitude words, needs
+    a :class:`QFormat`). ``decision`` picks how odd-indexed bits are sliced:
+    "shortcut" uses the magnitude comparison that hardware implements,
+    "plain" takes the sign of the full variable-node update.
+    """
+
+    arithmetic: str = "minsum"
+    decision: str = "shortcut"
+    qformat: Optional[QFormat] = None
+
+    def __post_init__(self):
+        if self.arithmetic not in _ARITHMETICS:
+            raise ValueError(f"unknown arithmetic {self.arithmetic!r}")
+        if self.decision not in _DECISIONS:
+            raise ValueError(f"unknown decision mode {self.decision!r}")
+        if self.arithmetic == "quantized" and self.qformat is None:
+            raise ValueError("quantized arithmetic requires a QFormat")
+
+    @classmethod
+    def min_sum(cls, decision="shortcut"):
+        return cls("minsum", decision)
+
+    @classmethod
+    def exact(cls, decision="shortcut"):
+        return cls("exact", decision)
+
+    @classmethod
+    def quantized(cls, qformat, decision="shortcut"):
+        return cls("quantized", decision, qformat)
+
 
 def encode_batch(u):
     """Polar-transform each row of a (frames, N) bit matrix."""
     u = np.asarray(u, dtype=np.uint8)
     if u.ndim != 2:
         raise ValueError(f"expected a (frames, N) matrix, got shape {u.shape}")
-    n = u.shape[1]
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValueError(f"row length must be a power of two, got {n}")
+    _require_power_of_two(u.shape[1], 1, "row length")
     if u.size and u.max() > 1:
         raise ValueError("bit matrix entries must be 0 or 1")
     return _polar_transform(u)
@@ -81,6 +127,21 @@ def _schedule(mask_bytes):
 
     visit(0, len(mask))
     return tuple(ops)
+
+
+def _subtrees(ops, m):
+    """
+    The length-m subtrees of a schedule in decode order, as (offset, start,
+    stop): ops[start:stop] decode the subtree at that offset, and the ops
+    before ``start`` leave its input LLRs in place.
+    """
+    first, last = (_LEAF, _LEAF) if m == 2 else (_F, _COMBINE)
+    for i, (kind, h, off, *_) in enumerate(ops):
+        if 2 * h == m:
+            if kind == first:
+                start = i
+            if kind == last:
+                yield off, start, i + 1
 
 
 def _f_minsum(a, b, out, x, y):
@@ -141,9 +202,7 @@ def _checked(llrs, kernel):
     llrs = np.asarray(llrs)
     if llrs.ndim != 2:
         raise ValueError(f"expected a (frames, N) matrix, got shape {llrs.shape}")
-    n = llrs.shape[1]
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError(f"row length must be a power of two >= 2, got {n}")
+    _require_power_of_two(llrs.shape[1], 2, "row length")
     if kernel.arithmetic == "quantized":
         if not np.issubdtype(llrs.dtype, np.integer):
             raise ValueError("quantized decode expects integer words; see quantize_batch")
@@ -155,6 +214,19 @@ def _checked(llrs, kernel):
     if not np.isfinite(llrs).all():
         raise ValueError("LLRs must be finite")
     return llrs
+
+
+def _as_row(llrs, kernel):
+    """
+    One frame of channel LLRs as a numpy row: floats for float kernels, the
+    integer values of QLlr words of the kernel's width for the quantized one.
+    """
+    if kernel.arithmetic == "quantized":
+        width = kernel.qformat.bits
+        if any(not isinstance(x, QLlr) or x.bits != width for x in llrs):
+            raise ValueError(f"quantized decode expects QLlr words of width {width}")
+        return np.array([x.value for x in llrs], dtype=np.int64)
+    return np.asarray(llrs, dtype=np.float64)
 
 
 def _run_schedule(ops, llr, mult, u, scratch, f, clip, shortcut):
@@ -218,7 +290,8 @@ class _State:
     Rows [m, 2m) of the level buffer ``llr`` hold the LLRs of the current
     length-m node, so the channel LLRs stay in rows [n, 2n). ``mult`` holds
     each finished node's re-encoded bits as +/-1 multipliers, in bit-reversed
-    order within the node, and ``u`` the decisions.
+    order within the node, and ``u`` the decisions. The accessors below give
+    and take one row per loaded frame, in natural order.
     """
 
     def __init__(self, kernel, n, width):
@@ -230,10 +303,19 @@ class _State:
             self.clip, dtype = None, np.float64
             self.f = _f_minsum if kernel.arithmetic == "minsum" else _f_exact
         self.shortcut = kernel.decision == "shortcut"
+        self.n = n
         self.llr = np.empty((2 * n, width), dtype=dtype)
         self.mult = np.empty((n, width), dtype=dtype)
         self.scratch = np.empty((n // 2, width), dtype=dtype)
         self.u = np.empty((n, width), dtype=bool)
+
+    @classmethod
+    def one_frame(cls, llrs, kernel):
+        """A state loaded with one frame of channel LLRs (floats, or QLlr words for the quantized kernel)."""
+        row = _checked(_as_row(llrs, kernel)[None], kernel)
+        state = cls(kernel, row.shape[1], 1)
+        state.load(row)
+        return state
 
     def load(self, block):
         """Bit-reverse a checked (frames, n) block into the level buffer and clear ``u``."""
@@ -249,6 +331,25 @@ class _State:
         k = self.frames
         _run_schedule(ops, self.llr[:, :k], self.mult[:, :k], self.u[:, :k],
                       self.scratch[:, :k], self.f, self.clip, self.shortcut)
+
+    def node_llrs(self, m):
+        """The input LLRs of the running length-m node, (frames, m)."""
+        return self.llr[m : 2 * m, : self.frames][_bit_reversal(m)].T
+
+    def node_bits(self, off, m):
+        """The re-encoded bits of the finished length-m node at ``off``, (frames, m)."""
+        return (self.mult[off : off + m, : self.frames] < 0)[_bit_reversal(m)].T.astype(np.uint8)
+
+    def decide(self, off, bits):
+        """Write a (frames, m) bit matrix as the decisions of the length-m node at ``off``."""
+        enc = encode_batch(bits)
+        m = enc.shape[1]
+        self.mult[off : off + m, : self.frames] = np.where(enc[:, _bit_reversal(m)].T, -1, 1)
+        self.u[off : off + m, : self.frames] = np.asarray(bits).T
+
+    def decisions(self):
+        """The decisions of the loaded frames, (frames, n) bits."""
+        return self.u[:, : self.frames].T.astype(np.uint8)
 
 
 def decode_batch(llrs, mask, kernel=None):
@@ -271,8 +372,6 @@ def decode_batch(llrs, mask, kernel=None):
     ndarray, shape (frames, N)
         Decisions per frame, frozen positions zero.
     """
-    from .decoder import DecoderKernel
-
     if kernel is None:
         kernel = DecoderKernel.min_sum()
     llrs = _checked(llrs, kernel)
@@ -280,8 +379,33 @@ def decode_batch(llrs, mask, kernel=None):
     out = np.empty(llrs.shape, dtype=np.uint8)
     state = _State(kernel, llrs.shape[1], min(len(llrs), BLOCK_FRAMES))
     for start in range(0, len(llrs), BLOCK_FRAMES):
-        block = llrs[start : start + BLOCK_FRAMES]
-        state.load(block)
+        state.load(llrs[start : start + BLOCK_FRAMES])
         state.run(ops)
-        out[start : start + len(block)] = state.u[:, : len(block)].T
+        out[start : start + state.frames] = state.u[:, : state.frames].T
     return out
+
+
+def decode(llrs, mask, kernel=None):
+    """
+    Decode one LLR vector by successive cancellation: a batch of one on
+    :func:`decode_batch`.
+
+    Parameters
+    ----------
+    llrs : sequence
+        Channel LLRs, floats for float kernels or :class:`QLlr` words for the
+        quantized kernel. Length must be a power of two >= 2.
+    mask : array-like of {0,1}
+        Frozen-bit indicator vector (1 marks a data position).
+    kernel : DecoderKernel, optional
+        Arithmetic/decision selection; defaults to float min-sum with the
+        hardware decision shortcut.
+
+    Returns
+    -------
+    ndarray
+        Estimated input vector of length N; frozen positions are 0.
+    """
+    if kernel is None:
+        kernel = DecoderKernel.min_sum()
+    return decode_batch(_as_row(llrs, kernel)[None], mask, kernel)[0]

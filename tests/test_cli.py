@@ -153,6 +153,17 @@ class TestEncodeDecodePipe:
         assert code != 0
         assert "expected 8" in err
 
+    @pytest.mark.parametrize("bit", ["2", "-1", "256"])
+    def test_non_binary_data_bit_fails(self, tmp_path, mask_file, capsys, bit):
+        data_in = tmp_path / "data.txt"
+        data_in.write_text(f"1 0 1 1 0 0 1 {bit}\n")
+        code, out, err = run_cli(
+            ["encode", "--mask", str(mask_file), "--in", str(data_in)], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("polarsc: error:")
+
     def test_exact_and_qbits_conflict(self, tmp_path, mask_file, capsys):
         llr_in = tmp_path / "llrs.txt"
         llr_in.write_text(" ".join(["1.0"] * 16) + "\n")

@@ -145,6 +145,30 @@ class TestStateInvariants:
             pipe.step(rng.normal(size=4))
             assert pipe.in_flight <= stages + 1
 
+    @pytest.mark.parametrize("stages", [0, 1, 2])
+    def test_rejected_input_changes_nothing(self, stages):
+        rng = np.random.default_rng(6)
+        mask = construct_frozen_mask(16, 9)
+        frames = _frames(rng, 16, 3)
+        # a short row and a NaN row between the frames
+        stream = [frames[0], np.zeros(8), frames[1], np.full(16, np.nan), frames[2]]
+        pipe = PipelinedDecoder(mask, stages=stages)
+        outputs = []
+        for i, feed in enumerate(stream):
+            if i % 2:
+                before = (pipe.cycle, pipe.in_flight)
+                with pytest.raises(ValueError):
+                    pipe.step(feed)
+                assert (pipe.cycle, pipe.in_flight) == before
+            else:
+                out = pipe.step(feed)
+                if out is not None:
+                    outputs.append(out)
+        outputs.extend(pipe.drain())
+        assert len(outputs) == len(frames)
+        for frame, out in zip(frames, outputs):
+            assert np.array_equal(out, reference_decode(frame, mask)[0])
+
     def test_rejects_wrong_length_input(self):
         pipe = PipelinedDecoder(construct_frozen_mask(8, 4), stages=1)
         with pytest.raises(ValueError):

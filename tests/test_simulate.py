@@ -91,7 +91,9 @@ class TestRunPoint:
 
     def test_ber_never_exceeds_fer(self):
         for snr in (0.0, 2.0, 4.0):
-            point = run_point(small_config(snr_db=(snr,)), snr)
+            config = small_config(snr_db=(snr,))
+            point = run_point(config, snr)
+            assert point.k == config.code.k
             assert point.ber <= point.fer + 1e-12
 
     def test_stop_rule_honors_trial_budget(self):
