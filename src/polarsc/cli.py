@@ -74,10 +74,7 @@ def _cmd_encode(args):
     spec = polar.CodeSpec(len(mask), mask)
     frames = _read_frames(args.infile, spec.k, "data bits")
     while block := list(islice(frames, BLOCK_FRAMES)):
-        bits = np.array([[int(b) for b in fields] for fields in block])
-        # checked before the uint8 array, where -1 or 256 would not fit
-        if np.any((bits < 0) | (bits > 1)):
-            raise ValueError("data bits must be 0 or 1")
+        bits = polar._as_bits([[int(b) for b in fields] for fields in block], 2, "data-bit matrix")
         u = np.zeros((len(block), spec.n), dtype=np.uint8)
         u[:, spec.data_indices] = bits
         for x in encode_batch(u):
@@ -230,7 +227,7 @@ def build_parser():
     p.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("POLAR_JOBS", "1")),
+        default=os.environ.get("POLAR_JOBS", "1"),
         help="worker processes (default: POLAR_JOBS or 1)",
     )
     p.set_defaults(func=_cmd_simulate)

@@ -11,13 +11,14 @@ def _require_power_of_two(n, minimum=1, noun="length"):
         raise ValueError(f"{noun} must be a power of two >= {minimum}, got {n}")
 
 
-def _as_bits(u):
-    bits = np.asarray(u, dtype=np.uint8)
-    if bits.ndim != 1:
-        raise ValueError(f"expected a 1-D bit vector, got shape {bits.shape}")
-    if np.any(bits > 1):
-        raise ValueError("bit vector entries must be 0 or 1")
-    return bits
+def _as_bits(u, ndim=1, noun="bit vector"):
+    """``u`` as a uint8 array of ``ndim`` axes, checked for 0/1 before the cast (no copy from uint8)."""
+    raw = np.asarray(u)
+    if raw.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D {noun}, got shape {raw.shape}")
+    if not np.all((raw == 0) | (raw == 1)):
+        raise ValueError(f"{noun} entries must be 0 or 1")
+    return raw.astype(np.uint8, copy=False)
 
 
 def encode(u):
@@ -130,7 +131,7 @@ def construct_frozen_mask(n, k, design_erasure=0.5):
 def extract_data(u_hat, mask):
     """Pick the entries of ``u_hat`` at data positions (mask 1), in index order."""
     u_hat = _as_bits(u_hat)
-    mask = _as_bits(mask)
+    mask = _as_bits(mask, noun="mask")
     if len(u_hat) != len(mask):
         raise ValueError(
             f"length mismatch: vector has {len(u_hat)}, mask has {len(mask)}"
@@ -147,7 +148,7 @@ class CodeSpec:
 
     def __post_init__(self):
         _require_power_of_two(self.n)
-        self.mask = _as_bits(self.mask)
+        self.mask = _as_bits(self.mask, noun="mask")
         if len(self.mask) != self.n:
             raise ValueError(f"mask length {len(self.mask)} != n {self.n}")
         self.mask.setflags(write=False)
@@ -171,7 +172,7 @@ class CodeSpec:
 
 def save_mask(mask, path):
     """Write a mask file: line 1 is N, line 2 the N space-separated 0/1 values."""
-    mask = _as_bits(mask)
+    mask = _as_bits(mask, noun="mask")
     with open(path, "w") as fh:
         fh.write(f"{len(mask)}\n")
         fh.write(" ".join(str(int(b)) for b in mask) + "\n")
@@ -188,8 +189,9 @@ def load_mask(path):
         values = fh.readline().split()
     if len(values) != n:
         raise ValueError(f"{path}: expected {n} mask values, found {len(values)}")
-    mask = np.array([int(v) for v in values], dtype=np.uint8)
-    if np.any(mask > 1):
-        raise ValueError(f"{path}: mask values must be 0 or 1")
+    try:
+        mask = _as_bits([int(v) for v in values], noun="mask")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     _require_power_of_two(n)
     return mask

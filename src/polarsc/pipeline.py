@@ -48,15 +48,15 @@ class PipelinedDecoder:
     """
 
     def __init__(self, mask, stages=1, kernel=None):
-        self.mask = [int(b) for b in mask]
-        n = len(self.mask)
+        n = len(mask)
         _require_power_of_two(n, 4, "mask length")
         if stages < 0:
             raise ValueError(f"stage count must be >= 0, got {stages}")
+        ops = _compile(mask, n)
+        self.mask = [int(b) for b in mask]
         self.n = n
         self.stages = stages
         self.kernel = kernel if kernel is not None else DecoderKernel.min_sum()
-        ops = _compile(mask, n)
         # the first half decodes the root's first child
         _, _, cut = next(_subtrees(ops, n // 2))
         self._halves = ops[:cut], ops[cut:]

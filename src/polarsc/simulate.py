@@ -122,21 +122,21 @@ def _chunk_counts(args):
 
 
 def _chunk_args(config, chan, point_index):
-    total = 0
-    chunk_index = 0
-    while total < config.max_trials:
-        trials = min(config.chunk_trials, config.max_trials - total)
-        yield (
-            config.code.mask,
-            config.kernel,
-            chan,
-            config.seed,
-            point_index,
-            chunk_index,
-            trials,
-        )
-        total += trials
-        chunk_index += 1
+    step = config.chunk_trials
+    for chunk_index, start in enumerate(range(0, config.max_trials, step)):
+        trials = min(step, config.max_trials - start)
+        yield config.code.mask, config.kernel, chan, config.seed, point_index, chunk_index, trials
+
+
+def _chunk_results(args, jobs):
+    """Chunk counts in index order; with ``jobs > 1`` a pool runs waves of ``2 * jobs`` chunks."""
+    if jobs <= 1:
+        yield from map(_chunk_counts, args)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        wave = 2 * jobs
+        for start in range(0, len(args), wave):
+            yield from pool.map(_chunk_counts, args[start : start + wave])
 
 
 def run_point(config, snr_db, point_index=None, jobs=1):
@@ -170,30 +170,14 @@ def run_point(config, snr_db, point_index=None, jobs=1):
         point_index = config.snr_db.index(float(snr_db))
     chan = AwgnChannel(snr_db, config.code.rate if config.code.k else 1.0)
     trials = frame_errors = bit_errors = 0
-
-    def fold(result):
-        nonlocal trials, frame_errors, bit_errors
-        trials += result[0]
-        frame_errors += result[1]
-        bit_errors += result[2]
-        return frame_errors >= config.min_frame_errors
-
-    args = list(_chunk_args(config, chan, point_index))
-    if jobs <= 1:
-        for arg in args:
-            if fold(_chunk_counts(arg)):
-                break
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            wave = 2 * jobs
-            done = False
-            for start in range(0, len(args), wave):
-                for result in pool.map(_chunk_counts, args[start : start + wave]):
-                    if fold(result):
-                        done = True
-                        break
-                if done:
-                    break
+    results = _chunk_results(list(_chunk_args(config, chan, point_index)), jobs)
+    for chunk_trials, chunk_frame_errors, chunk_bit_errors in results:
+        trials += chunk_trials
+        frame_errors += chunk_frame_errors
+        bit_errors += chunk_bit_errors
+        if frame_errors >= config.min_frame_errors:
+            break
+    results.close()  # shuts the pool down before the counts are returned
     return FerPoint(float(snr_db), trials, frame_errors, bit_errors, k=config.code.k)
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .code import _bit_reversal, _polar_transform, _require_power_of_two
+from .code import _as_bits, _bit_reversal, _polar_transform, _require_power_of_two
 from .llr import QFormat, QLlr
 
 # Frames decoded together. The buffers take 29 bytes per frame and position for
@@ -73,12 +73,8 @@ class DecoderKernel:
 
 def encode_batch(u):
     """Polar-transform each row of a (frames, N) bit matrix."""
-    u = np.asarray(u, dtype=np.uint8)
-    if u.ndim != 2:
-        raise ValueError(f"expected a (frames, N) matrix, got shape {u.shape}")
+    u = _as_bits(u, 2, "bit matrix")
     _require_power_of_two(u.shape[1], 1, "row length")
-    if u.size and u.max() > 1:
-        raise ValueError("bit matrix entries must be 0 or 1")
     return _polar_transform(u)
 
 
@@ -189,12 +185,10 @@ def _word_dtype(max_magnitude):
 
 def _compile(mask, n):
     """Check a frozen mask for rows of length ``n``; returns its schedule."""
-    mask = np.asarray(mask)
-    if mask.shape != (n,):
-        raise ValueError(f"mask shape {mask.shape} does not match row length {n}")
-    if not np.all((mask == 0) | (mask == 1)):
-        raise ValueError("mask entries must be 0 or 1")
-    return _schedule(mask.astype(np.uint8).tobytes())
+    mask = _as_bits(mask, noun="mask")
+    if len(mask) != n:
+        raise ValueError(f"mask length {len(mask)} does not match row length {n}")
+    return _schedule(mask.tobytes())
 
 
 def _checked(llrs, kernel):
@@ -342,10 +336,11 @@ class _State:
 
     def decide(self, off, bits):
         """Write a (frames, m) bit matrix as the decisions of the length-m node at ``off``."""
-        enc = encode_batch(bits)
-        m = enc.shape[1]
+        bits = _as_bits(bits, 2, "bit matrix")
+        m = bits.shape[1]
+        enc = _polar_transform(bits)
         self.mult[off : off + m, : self.frames] = np.where(enc[:, _bit_reversal(m)].T, -1, 1)
-        self.u[off : off + m, : self.frames] = np.asarray(bits).T
+        self.u[off : off + m, : self.frames] = bits.T
 
     def decisions(self):
         """The decisions of the loaded frames, (frames, n) bits."""

@@ -214,6 +214,7 @@ def _measure(spec, kernel, snr, max_trials, seed):
     return run_point(config, snr, point_index=0, jobs=JOBS)
 
 
+@pytest.mark.slow
 def test_c09_quantization_fidelity():
     spec = CodeSpec.construct(1024, 512)
     snrs = (2.5, 3.0, 3.5)
@@ -245,6 +246,7 @@ def test_c09_quantization_fidelity():
     )
 
 
+@pytest.mark.slow
 def test_c10_waterfalls_have_no_floors():
     experiments = [
         (256, 128, (2.0, 3.0, 4.0, 4.85), 3_500_000),

@@ -164,6 +164,20 @@ class TestEncodeDecodePipe:
         assert out == ""
         assert err.startswith("polarsc: error:")
 
+    @pytest.mark.parametrize("value", ["-1", "256"])
+    @pytest.mark.parametrize("command", ["encode", "decode", "simulate"])
+    def test_non_binary_mask_value_fails(self, tmp_path, capsys, command, value):
+        mask_path = tmp_path / "mask.txt"
+        mask_path.write_text(f"4\n0 1 {value} 1\n")
+        frames = tmp_path / "frames.txt"
+        frames.write_text("1.0 1.0 1.0 1.0\n" if command == "decode" else "1 0\n")
+        argv = [command, "--mask", str(mask_path)]
+        argv += ["--snr", "1"] if command == "simulate" else ["--in", str(frames)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("polarsc: error:")
+
     def test_exact_and_qbits_conflict(self, tmp_path, mask_file, capsys):
         llr_in = tmp_path / "llrs.txt"
         llr_in.write_text(" ".join(["1.0"] * 16) + "\n")
@@ -216,6 +230,16 @@ class TestSimulate:
             ["simulate", "--mask", str(mask_file), "--snr", "1"]
         )
         assert args.jobs == 3
+
+    def test_bad_jobs_environment_fails_only_simulate(self, monkeypatch, mask_file, capsys):
+        from polarsc.cli import build_parser
+
+        monkeypatch.setenv("POLAR_JOBS", "x")
+        code, _, _ = run_cli(["construct", "--n", "8", "--k", "4"], capsys)
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["simulate", "--mask", str(mask_file), "--snr", "1"])
+        assert exc.value.code == 2
 
     def test_bad_snr_spec_fails(self, mask_file, capsys):
         code, _, err = run_cli(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from polarsc import (
     CodeSpec,
     bec_reliabilities,
+    component_inputs,
     construct_frozen_mask,
     encode,
     encode_batch,
@@ -15,6 +16,11 @@ from polarsc import (
     load_mask,
     save_mask,
 )
+
+# pairs that are not 0/1 bits: a uint8 cast would wrap 256 to 0, truncate 0.5
+# and 1.5, and overflow on -1
+NON_BITS = [np.array([256, 0]), [-1, 0], [0.5, 1], [1.5, 0], [0, 2]]
+NON_BIT_IDS = ["256", "-1", "0.5", "1.5", "2"]
 
 
 def kernel_matrix(n):
@@ -112,9 +118,10 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode([0] * bad)
 
-    def test_rejects_non_bits(self):
+    @pytest.mark.parametrize("bits", NON_BITS, ids=NON_BIT_IDS)
+    def test_rejects_non_bits(self, bits):
         with pytest.raises(ValueError):
-            encode([0, 2])
+            encode(bits)
 
 
 class TestConstruction:
@@ -210,6 +217,26 @@ class TestCodeSpec:
             CodeSpec(8, [1, 0, 1])
 
 
+# every entry point that takes a bit vector or a mask, called with a length-4
+# vector whose first two entries are ``bits``
+BIT_ENTRY_POINTS = {
+    "extract_data-bits": lambda v, path: extract_data(v, [1, 1, 1, 1]),
+    "extract_data-mask": lambda v, path: extract_data([0, 0, 0, 0], v),
+    "CodeSpec": lambda v, path: CodeSpec(4, v),
+    "save_mask": lambda v, path: save_mask(v, path),
+    "component_inputs": lambda v, path: component_inputs([1.0, -2.0, 3.0, 0.5] * 2, v, 4),
+}
+
+
+@pytest.mark.parametrize("bits", NON_BITS, ids=NON_BIT_IDS)
+@pytest.mark.parametrize("entry", BIT_ENTRY_POINTS)
+def test_entry_points_reject_non_bits(tmp_path, entry, bits):
+    path = tmp_path / "mask.txt"
+    with pytest.raises(ValueError):
+        BIT_ENTRY_POINTS[entry]([*bits, 1, 1], path)
+    assert not path.exists()
+
+
 class TestMaskFile:
     def test_roundtrip(self, tmp_path):
         mask = construct_frozen_mask(16, 9)
@@ -234,4 +261,11 @@ class TestMaskFile:
         path = tmp_path / "bad.txt"
         path.write_text("zz\n0 1\n")
         with pytest.raises(ValueError):
+            load_mask(path)
+
+    @pytest.mark.parametrize("value", ["-1", "256", "2"])
+    def test_rejects_non_bit_value(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"4\n0 1 {value} 1\n")
+        with pytest.raises(ValueError, match="bad.txt"):
             load_mask(path)

@@ -181,6 +181,8 @@ class TestStateInvariants:
             PipelinedDecoder([1, 0, 1])
         with pytest.raises(ValueError):
             PipelinedDecoder([0.5, 1, 1, 1])
+        with pytest.raises(ValueError):
+            PipelinedDecoder([[0, 1, 1, 1]] * 4)
 
 
 class TestThroughputModel:

@@ -37,9 +37,15 @@ class TestEncodeBatch:
         with pytest.raises(ValueError):
             encode_batch(np.zeros((4, 3), dtype=np.uint8))
 
-    def test_rejects_non_bits(self):
+    @pytest.mark.parametrize(
+        "bits",
+        [np.array([[256, 0]]), [[-1, 0]], [[0.5, 1]], [[1.5, 0]], [[0, 2]],
+         np.full((2, 4), 2, dtype=np.uint8)],
+        ids=["256", "-1", "0.5", "1.5", "2", "uint8-2"],
+    )
+    def test_rejects_non_bits(self, bits):
         with pytest.raises(ValueError):
-            encode_batch(np.full((2, 4), 2, dtype=np.uint8))
+            encode_batch(bits)
 
 
 class TestQuantizeBatch:
