@@ -16,7 +16,12 @@ def _as_bits(u, ndim=1, noun="bit vector"):
     raw = np.asarray(u)
     if raw.ndim != ndim:
         raise ValueError(f"expected a {ndim}-D {noun}, got shape {raw.shape}")
-    if not np.all((raw == 0) | (raw == 1)):
+    if raw.dtype.kind in "biu":
+        # two reductions, no bool temporaries
+        ok = raw.size == 0 or (raw.min() >= 0 and raw.max() <= 1)
+    else:
+        ok = np.all((raw == 0) | (raw == 1))
+    if not ok:
         raise ValueError(f"{noun} entries must be 0 or 1")
     return raw.astype(np.uint8, copy=False)
 

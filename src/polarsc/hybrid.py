@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import _require_power_of_two
+from .code import _as_bits, _require_power_of_two
 from .llr import QLlr
-from .vectorized import DecoderKernel, _compile, _State, _subtrees, decode_batch
+from .vectorized import DecoderKernel, _compile, _schedule, _State, _subtrees, decode_batch
 
 # Measured throughputs (b/s) of the combinational core on a mid-range FPGA,
 # used to derive default component-decoder delays D = N'/TP.
@@ -17,7 +17,7 @@ DEFAULT_COMB_THROUGHPUT_BPS = {16: 1.05e9, 32: 0.88e9, 64: 0.85e9}
 
 class _FrontEnd:
     """
-    The synchronous front end: the full code's schedule, run on one frame,
+    The synchronous front end: the full tree's schedule, run on one frame,
     with every length-N' subtree cut out.
 
     Iterating runs the schedule up to each component in turn and yields the
@@ -25,14 +25,16 @@ class _FrontEnd:
     its N' decisions with ``state.decide`` before the walk goes on.
     """
 
-    def __init__(self, llrs, mask, n_prime, kernel):
+    def __init__(self, llrs, n_prime, kernel):
         self.state = _State.one_frame(llrs, kernel)
         n = self.state.n
         # a divisor >= 2 of a power of two is one
         if n_prime < 2 or n % n_prime != 0:
             raise ValueError(f"component length {n_prime} must be a power of two dividing {n}")
         self.n_prime = n_prime
-        self.ops = _compile(mask, n)
+        # it runs no leaf, and every component needs its input LLRs, so it
+        # walks the unpruned tree: the schedule of the all-data mask
+        self.ops = _schedule(b"\x01" * n)
 
     def __iter__(self):
         pos = 0
@@ -48,14 +50,14 @@ def component_inputs(llrs, decided, n_prime, kernel=None):
 
     Runs the check/variable-node tree from the channel level down to the
     component-code level, consuming the ``decided`` bits (all component
-    outputs so far; a trailing partial component is ignored) to form partial
-    sums on the variable-node branches. This is the synchronous decoder's
-    share of the work.
+    outputs so far; a trailing partial component is checked, then ignored)
+    to form partial sums on the variable-node branches. This is the
+    synchronous decoder's share of the work.
     """
     if kernel is None:
         kernel = DecoderKernel.min_sum()
-    # the front end runs no leaf, so the mask does not change its ops
-    front = _FrontEnd(llrs, np.zeros(len(llrs)), n_prime, kernel)
+    decided = _as_bits(decided, noun="decided bit vector")
+    front = _FrontEnd(llrs, n_prime, kernel)
     target = len(decided) // n_prime * n_prime
     if target >= front.state.n:
         raise ValueError(f"{len(decided)} decided bits leave no component of a length-{front.state.n} code")
@@ -64,7 +66,7 @@ def component_inputs(llrs, decided, n_prime, kernel=None):
             if kernel.arithmetic == "quantized":
                 return [QLlr.from_value(int(v), kernel.qformat.bits) for v in lam[0]]
             return lam[0].tolist()
-        front.state.decide(off, [decided[off : off + n_prime]])
+        front.state.decide(off, decided[None, off : off + n_prime])
 
 
 def hybrid_decode(llrs, mask, n_prime, kernel=None):
@@ -89,8 +91,10 @@ def hybrid_decode(llrs, mask, n_prime, kernel=None):
     """
     if kernel is None:
         kernel = DecoderKernel.min_sum()
+    front = _FrontEnd(llrs, n_prime, kernel)
+    # checked whole here; each component decodes its own slice
+    _compile(mask, front.state.n)
     mask = np.asarray(mask)
-    front = _FrontEnd(llrs, mask, n_prime, kernel)
     for off, lam in front:
         front.state.decide(off, decode_batch(lam, mask[off : off + n_prime], kernel))
     return front.state.decisions()[0]

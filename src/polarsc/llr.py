@@ -49,9 +49,10 @@ def f_minsum(l1, l2):
     """
     Min-sum check-node update: sign product times magnitude minimum.
 
-    The result magnitude is exactly min(|l1|, |l2|).
+    The result magnitude is exactly min(|l1|, |l2|). Its sign is that of
+    l1 * l2, also for a zero result, as in the batched kernel.
     """
-    return (1 - 2 * sign_bit(l1)) * (1 - 2 * sign_bit(l2)) * min(abs(l1), abs(l2))
+    return math.copysign(min(abs(l1), abs(l2)), l1 * l2)
 
 
 def f_exact(l1, l2):
@@ -69,7 +70,8 @@ def f_exact(l1, l2):
     # the exact magnitude lies in [0, lo]; when lo is tiny the two corrections
     # cancel to a rounding error that can leave it outside (NaN passes through)
     mag = min(max(mag, 0.0), lo)
-    return (1 - 2 * sign_bit(l1)) * (1 - 2 * sign_bit(l2)) * mag
+    # the sign of the product, also for a zero result, as the batched kernel
+    return math.copysign(1.0, l1 * l2) * mag
 
 
 def g_fn(l1, l2, v):

@@ -57,8 +57,9 @@ class PipelinedDecoder:
         self.n = n
         self.stages = stages
         self.kernel = kernel if kernel is not None else DecoderKernel.min_sum()
-        # the first half decodes the root's first child
-        _, _, cut = next(_subtrees(ops, n // 2))
+        # the first half decodes the root's first child; an all-frozen mask
+        # compiles to one zero step, which the first half runs
+        cut = next((stop for _, _, stop in _subtrees(ops, n // 2)), len(ops))
         self._halves = ops[:cut], ops[cut:]
         self.banks: list[Optional[StageRegisters]] = [None] * stages
         self._out_reg: Optional[np.ndarray] = None

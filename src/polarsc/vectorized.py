@@ -6,13 +6,17 @@ per frozen mask. Frames sit in the last axis of an (N, frames) block, the
 channel LLRs are bit-reversed on entry so that every node reads its two
 halves as contiguous row ranges, and each node hands its re-encoded bits up
 as +/-1 multipliers, so the variable-node update is one multiply and one add.
+A fully frozen subtree is one step that sets its multipliers to +1, and
+quantized words are carried in the narrowest integer type that holds a g sum
+(int8 up to 7-bit words).
 
 This module is the only one that knows the schedule's steps and the buffer
 layout. Scalar :func:`decode` is a batch of one. The pipeline model and the
 hybrid decoder run slices of the schedule on a one-frame ``_State``: they
 find their cuts with ``_subtrees`` (the op range of each subtree of a given
 length) and read and write node LLRs, re-encoded bits and decisions through
-the state's accessors, in natural order.
+the state's accessors, in natural order. The hybrid front end reads the
+input LLRs of frozen components too, so it runs the full tree's schedule.
 """
 
 from dataclasses import dataclass
@@ -28,7 +32,7 @@ from .llr import QFormat, QLlr
 # float LLRs, so this bounds the working set of a large batch (about 30 MB at N=1024).
 BLOCK_FRAMES = 1024
 
-_F, _G, _COMBINE, _LEAF = range(4)
+_F, _G, _COMBINE, _LEAF, _ZERO = range(5)
 
 _ARITHMETICS = ("minsum", "exact", "quantized")
 _DECISIONS = ("shortcut", "plain")
@@ -105,17 +109,24 @@ def _schedule(mask_bytes):
     child, the first child, g into the child, the second child, then the
     partial-sum combine of rows [off, off + 2h) of the multiplier buffer.
     A length-2 node is one leaf step on rows 2 and 3, which also carries the
-    node's two mask bits. Every step starts with (kind, h, off).
+    node's two mask bits. A frozen node (all its mask bits 0) reads no LLR
+    and decides all zeros, so it is one zero step that sets its multipliers
+    to +1, and its parent runs no f into it. Every step starts with
+    (kind, h, off).
     """
     mask = np.frombuffer(mask_bytes, dtype=np.uint8)
     ops = []
 
     def visit(off, n):
+        h = n // 2
+        if not mask[off : off + n].any():
+            ops.append((_ZERO, h, off))
+            return
         if n == 2:
             ops.append((_LEAF, 1, off, bool(mask[off]), bool(mask[off + 1])))
             return
-        h = n // 2
-        ops.append((_F, h, off))
+        if mask[off : off + h].any():
+            ops.append((_F, h, off))
         visit(off, h)
         ops.append((_G, h, off))
         visit(off + h, h)
@@ -129,15 +140,16 @@ def _subtrees(ops, m):
     """
     The length-m subtrees of a schedule in decode order, as (offset, start,
     stop): ops[start:stop] decode the subtree at that offset, and the ops
-    before ``start`` leave its input LLRs in place.
+    before ``start`` leave its input LLRs in place (a zero step reads none,
+    and gets no f). A subtree starts after the last op of a longer node and
+    ends with its combine, leaf or zero step.
     """
-    first, last = (_LEAF, _LEAF) if m == 2 else (_F, _COMBINE)
+    start = 0
     for i, (kind, h, off, *_) in enumerate(ops):
-        if 2 * h == m:
-            if kind == first:
-                start = i
-            if kind == last:
-                yield off, start, i + 1
+        if 2 * h > m:
+            start = i + 1
+        elif 2 * h == m and kind not in (_F, _G):
+            yield off, start, i + 1
 
 
 def _f_minsum(a, b, out, x, y):
@@ -157,8 +169,7 @@ def _f_exact(a, b, out, x, y):
     mag = np.subtract(np.add(near, lo, out=y), far, out=y)
     # clamp to [0, lo] as the scalar kernel does; lo stays in out
     np.maximum(np.minimum(mag, lo, out=out), 0.0, out=out)
-    # the scalar kernel multiplies the magnitude by the sign product, so the
-    # sign of a zero result follows it; copysign would not be identical
+    # the sign of a * b, also for a zero result, as in the scalar kernel
     np.multiply(np.copysign(1.0, np.multiply(a, b, out=x), out=x), out, out=out)
 
 
@@ -177,7 +188,7 @@ def _word_f(dtype):
 
 def _word_dtype(max_magnitude):
     """Smallest signed integer type that holds every g sum, +/-2*max_magnitude."""
-    for dtype in (np.int16, np.int32, np.int64):
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
         if 2 * max_magnitude <= np.iinfo(dtype).max:
             return dtype
     raise ValueError(f"words of magnitude {max_magnitude} are too wide for int64")
@@ -264,16 +275,18 @@ def _run_schedule(ops, llr, mult, u, scratch, f, clip, shortcut):
                 m0[...] = m1
             continue
         _, h, off = op
-        first, second, child = llr[2 * h : 3 * h], llr[3 * h : 4 * h], llr[h : 2 * h]
         if kind == _F:
-            f(first, second, child, scratch[:h], llr[:h])
+            f(llr[2 * h : 3 * h], llr[3 * h : 4 * h], llr[h : 2 * h], scratch[:h], llr[:h])
         elif kind == _G:
-            np.multiply(mult[off : off + h], first, out=child)
-            child += second
+            child = llr[h : 2 * h]
+            np.multiply(mult[off : off + h], llr[2 * h : 3 * h], out=child)
+            child += llr[3 * h : 4 * h]
             if clip is not None:
                 np.clip(child, -clip, clip, out=child)
-        else:
+        elif kind == _COMBINE:
             mult[off : off + h] *= mult[off + h : off + 2 * h]
+        else:
+            mult[off : off + 2 * h].fill(1)
 
 
 class _State:

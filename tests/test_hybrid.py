@@ -164,3 +164,8 @@ class TestLatencyGain:
             HybridConfig(1024, 2048, 64, 1e8, 1e-8)
         with pytest.raises(ValueError):
             HybridConfig(1024, 16, 64, 0.0, 1e-8)
+
+
+def test_component_inputs_checks_a_trailing_partial_component():
+    with pytest.raises(ValueError):
+        component_inputs([1.0] * 8, [0, 0, 0, 0, 7], 4)

@@ -1,5 +1,7 @@
 """Bit-exactness of the batched kernels against the scalar references."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,31 @@ from hypothesis import strategies as st
 
 from polarsc import (
     DecoderKernel,
+    PipelinedDecoder,
     QFormat,
     QLlr,
+    component_inputs,
+    construct_frozen_mask,
     decode_batch,
     encode,
     encode_batch,
+    f_exact,
+    f_minsum,
+    g_fn,
+    hybrid_decode,
     quantize,
     quantize_batch,
 )
-from polarsc.vectorized import BLOCK_FRAMES
+from polarsc.vectorized import (
+    _F,
+    _ZERO,
+    BLOCK_FRAMES,
+    _compile,
+    _f_exact,
+    _f_minsum,
+    _schedule,
+    _subtrees,
+)
 from test_decoder import reference_decode
 
 Q5 = QFormat(5)
@@ -46,6 +64,15 @@ class TestEncodeBatch:
     def test_rejects_non_bits(self, bits):
         with pytest.raises(ValueError):
             encode_batch(bits)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
+    @pytest.mark.parametrize("frames", [0, 3])
+    def test_accepts_bits_of_any_integer_type(self, dtype, frames):
+        u = np.random.default_rng(frames).integers(0, 2, (frames, 8)).astype(dtype)
+        batch = encode_batch(u)
+        assert batch.shape == (frames, 8) and batch.dtype == np.uint8
+        for row in range(frames):
+            assert np.array_equal(batch[row], encode(u[row].astype(np.uint8)))
 
 
 class TestQuantizeBatch:
@@ -217,8 +244,8 @@ class TestScheduleEquivalence:
     @pytest.mark.parametrize("bits", range(2, 17))
     @pytest.mark.parametrize("decision", ["shortcut", "plain"])
     def test_word_widths_across_int16(self, bits, decision):
-        # full-range words saturate g at every width, including 15 bits
-        # (2*max_magnitude just fits int16) and 16 bits (it does not)
+        # full-range words saturate g at every width, including 7 and 15 bits
+        # (2*max_magnitude just fits int8 and int16) and 8 and 16 bits (it does not)
         kernel = DecoderKernel.quantized(QFormat(bits), decision)
         m = kernel.qformat.max_magnitude
         rng = np.random.default_rng(bits)
@@ -246,3 +273,118 @@ class TestScheduleEquivalence:
         assert not decode_batch(llrs, frozen, kernel).any()
         _assert_rows_match_scalar(llrs, frozen, kernel)
         _assert_rows_match_scalar(llrs, np.ones(64, dtype=np.uint8), kernel)
+
+
+# signed zeros, subnormals, and products that underflow to a signed zero
+F_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 1e-160, 0.25, -0.25, 3.0, -3.0]
+
+
+@pytest.mark.parametrize(
+    "scalar,batched", [(f_minsum, _f_minsum), (f_exact, _f_exact)], ids=["minsum", "exact"]
+)
+def test_scalar_and_batched_f_agree_bit_for_bit(scalar, batched):
+    a, b = (np.array(v) for v in zip(*itertools.product(F_EDGE_VALUES, repeat=2)))
+    out, x, y = np.empty_like(a), np.empty_like(a), np.empty_like(a)
+    batched(a, b, out, x, y)
+    want = np.array([scalar(float(p), float(q)) for p, q in zip(a, b)])
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))
+
+
+def _tie_heavy(rng, frames, n):
+    return rng.choice([-2.0, -1.0, -0.0, 0.0, 0.0, 1.0, 2.0], (frames, n))
+
+
+class TestPrunedSchedule:
+    """Frozen subtrees compile to one zero step; decisions stay those of the full tree."""
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=str)
+    @pytest.mark.parametrize("n", [2**e for e in range(1, 9)])
+    def test_structural_masks(self, kernel, n):
+        rng = np.random.default_rng(n)
+        half = np.r_[np.zeros(n // 2), np.ones(n // 2)].astype(np.uint8)
+        llrs = _tie_heavy(rng, 8, n)
+        for mask in (np.zeros(n), np.ones(n), half, 1 - half):
+            _assert_rows_match_scalar(llrs, mask, kernel)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=str)
+    def test_frozen_runs_at_every_alignment(self, kernel):
+        rng = np.random.default_rng(15)
+        n = 64
+        llrs = _tie_heavy(rng, 3, n)
+        for length in (2, 4, 8, 16, 32, 64):
+            for start in range(n - length + 1):
+                mask = np.ones(n, dtype=np.uint8)
+                mask[start : start + length] = 0
+                _assert_rows_match_scalar(llrs, mask, kernel)
+
+    @pytest.mark.parametrize("n,k,ops", [(1024, 512, 1267), (1024, 853, 1894), (256, 128, 335)])
+    def test_benchmark_code_op_counts(self, n, k, ops):
+        mask = construct_frozen_mask(n, k)
+        pruned = _compile(mask, n)
+        assert len(pruned) == ops
+        assert len(_schedule(b"\x01" * n)) == 2 * n - 3
+        for kind, h, off, *_ in pruned:
+            if kind == _F:  # the child it feeds is not frozen
+                assert mask[off : off + h].any()
+            if kind == _ZERO:
+                assert not mask[off : off + 2 * h].any()
+
+    def test_subtrees_of_a_pruned_schedule(self):
+        rng = np.random.default_rng(16)
+        masks = [construct_frozen_mask(256, 128), np.r_[np.zeros(160), np.ones(96)].astype(np.uint8)]
+        masks += [(rng.random(256) < p).astype(np.uint8) for p in (0.1, 0.5, 0.9)]
+        for mask in masks:
+            ops = _compile(mask, 256)
+            for m in (2, 4, 16, 64, 128, 256):
+                # a length-m node is in the pruned tree unless a frozen ancestor
+                # replaced it, in which case its parent is frozen too
+                want = [o for o in range(0, 256, m) if m == 256 or mask[o - o % (2 * m) :][: 2 * m].any()]
+                got = list(_subtrees(ops, m))
+                assert [off for off, _, _ in got] == want
+                for off, start, stop in got:
+                    inside = [op for op in ops if off <= op[2] < off + m and 2 * op[1] <= m]
+                    assert list(ops[start:stop]) == inside
+
+
+def _reference_node_llrs(llrs, u, off, m):
+    """Min-sum input LLRs of the length-m node at ``off``, from the decisions before it."""
+    ll, start = list(llrs), 0
+    while len(ll) > m:
+        h = len(ll) // 2
+        pairs = [(ll[2 * j], ll[2 * j + 1]) for j in range(h)]
+        if off < start + h:
+            ll = [f_minsum(a, b) for a, b in pairs]
+        else:
+            v = encode(u[start : start + h])
+            ll = [g_fn(a, b, int(v[j])) for j, (a, b) in enumerate(pairs)]
+            start += h
+    return ll
+
+
+@pytest.mark.parametrize("prefix", [20, 32])
+def test_views_on_a_long_frozen_prefix(prefix):
+    # the frozen prefix is longer than N/2 and than every N' < N, so the
+    # pruned schedule starts with zero steps that span several components
+    n = 32
+    mask = np.r_[np.zeros(prefix), np.ones(n - prefix)].astype(np.uint8)
+    rng = np.random.default_rng(prefix)
+    frames = list(_tie_heavy(rng, 6, n)) + list(rng.normal(scale=2.0, size=(6, n)))
+    want = [reference_decode(frame, mask)[0] for frame in frames]
+    for stages in (0, 1, 2):
+        pipe = PipelinedDecoder(mask, stages=stages)
+        outputs = []
+        for frame in frames:
+            out = pipe.step(frame)
+            if out is not None:
+                outputs.append(out)
+            for bank in pipe.banks:
+                if bank is not None:
+                    assert bank.partial_sums == list(encode(bank.first_half))
+        outputs += pipe.drain()
+        assert all(np.array_equal(a, b) for a, b in zip(outputs, want, strict=True))
+    for frame, u in zip(frames, want):
+        for n_prime in (2, 4, 8, 16, 32):
+            assert np.array_equal(hybrid_decode(frame, mask, n_prime), u)
+            for off in range(0, n, n_prime):
+                got = component_inputs(frame, u[:off], n_prime)
+                assert got == _reference_node_llrs(frame, u, off, n_prime)
