@@ -123,20 +123,22 @@ def _cmd_simulate(args):
 
 
 def _cmd_pipeline(args):
-    delay = args.comb_delay if args.comb_delay else args.n / args.comb_tp
+    if args.comb_tp is not None and args.comb_tp <= 0:
+        raise ValueError("--comb-tp must be positive")
+    delay = args.comb_delay if args.comb_delay is not None else args.n / args.comb_tp
+    model = PipelineTimingModel(args.n, delay, args.stages)
     print(f"{'stages':>6} {'period':>12} {'throughput':>14}")
-    for s in range(args.stages + 1):
-        model = PipelineTimingModel(args.n, delay, s)
-        tp = pipeline_throughput(model)
+    for s in range(model.stages + 1):
+        tp = pipeline_throughput(PipelineTimingModel(args.n, delay, s))
         print(f"{s:6d} {delay / 2**s:12.4e} {tp:14.4e}")
     return 0
 
 
 def _cmd_hybrid(args):
-    if args.comb_delay:
+    if args.comb_delay is not None:
         cfg = hybrid.HybridConfig(args.n, args.nprime, args.p, args.fc, args.comb_delay)
     else:
-        tp = args.comb_tp or hybrid.DEFAULT_COMB_THROUGHPUT_BPS.get(args.nprime)
+        tp = args.comb_tp if args.comb_tp is not None else hybrid.DEFAULT_COMB_THROUGHPUT_BPS.get(args.nprime)
         if tp is None:
             raise ValueError(
                 f"no built-in combinational throughput for N'={args.nprime}; "
@@ -158,6 +160,9 @@ def _cmd_analyze(args):
     gates = None
     if any(v > 0 for v in (args.delta_c, args.delta_m, args.delta_x, args.delta_a, args.t_n)):
         gates = hardware.GateDelays(args.delta_c, args.delta_m, args.delta_x, args.delta_a, args.t_n)
+    for flag, value in (("--delay", args.delay), ("--freq", args.freq)):
+        if value is not None and value <= 0:
+            raise ValueError(f"{flag} must be positive")
     delay = args.delay
     if delay is None and args.freq:
         delay = 1.0 / args.freq
@@ -168,7 +173,7 @@ def _cmd_analyze(args):
     print(f"decision comparators {c.decision_comparators}")
     print(f"adders/subtractors   {c.adders}")
     print(f"total blocks         {c.total}")
-    if gates is not None and args.n >= 8:
+    if gates is not None:
         print(f"delay (recursive)    {hardware.delay_recursive(args.n, gates):.6e} s")
         print(f"delay (closed form)  {hardware.delay_closed(args.n, gates):.6e} s")
     if rep.delay_s is not None:
@@ -204,21 +209,19 @@ def build_parser():
     p.add_argument("--in", dest="infile", help="input file (default: stdin)")
     p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("decode", help="decode LLR frames (N values per line)")
+    kernel_flags = argparse.ArgumentParser(add_help=False)
+    kernel_flags.add_argument("--qbits", type=int, default=0, help="0 = float, else word width")
+    kernel_flags.add_argument("--scale", type=float, default=1.0)
+    kernel_flags.add_argument("--exact", action="store_true", help="exact check-node rule")
+    kernel_flags.add_argument("--decision", choices=["shortcut", "plain"], default="shortcut")
+
+    p = sub.add_parser("decode", parents=[kernel_flags], help="decode LLR frames (N values per line)")
     p.add_argument("--mask", required=True)
     p.add_argument("--in", dest="infile", help="input file (default: stdin)")
-    p.add_argument("--qbits", type=int, default=0, help="0 = float, else word width")
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--exact", action="store_true", help="exact check-node rule")
-    p.add_argument("--decision", choices=["shortcut", "plain"], default="shortcut")
     p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("simulate", help="Monte Carlo FER/BER over an SNR grid")
+    p = sub.add_parser("simulate", parents=[kernel_flags], help="Monte Carlo FER/BER over an SNR grid")
     p.add_argument("--mask", required=True)
-    p.add_argument("--qbits", type=int, default=0, help="0 = float, else word width")
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--decision", choices=["shortcut", "plain"], default="shortcut")
     p.add_argument("--snr", required=True, help="START:STOP:STEP in dB, or one value")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-trials", type=int, default=10**6)

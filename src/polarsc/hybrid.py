@@ -138,6 +138,8 @@ class HybridConfig:
     @classmethod
     def from_comb_throughput(cls, n, n_prime, p, f_c_hz, comb_tp_bps):
         """Derive the component delay from a measured combinational throughput."""
+        if comb_tp_bps <= 0:
+            raise ValueError("combinational throughput must be positive")
         return cls(n, n_prime, p, f_c_hz, n_prime / comb_tp_bps)
 
 

@@ -53,7 +53,6 @@ class PipelinedDecoder:
         if stages < 0:
             raise ValueError(f"stage count must be >= 0, got {stages}")
         ops = _compile(mask, n)
-        self.mask = [int(b) for b in mask]
         self.n = n
         self.stages = stages
         self.kernel = kernel if kernel is not None else DecoderKernel.min_sum()

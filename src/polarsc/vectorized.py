@@ -10,13 +10,15 @@ A fully frozen subtree is one step that sets its multipliers to +1, and
 quantized words are carried in the narrowest integer type that holds a g sum
 (int8 up to 7-bit words).
 
-This module is the only one that knows the schedule's steps and the buffer
-layout. Scalar :func:`decode` is a batch of one. The pipeline model and the
-hybrid decoder run slices of the schedule on a one-frame ``_State``: they
-find their cuts with ``_subtrees`` (the op range of each subtree of a given
-length) and read and write node LLRs, re-encoded bits and decisions through
-the state's accessors, in natural order. The hybrid front end reads the
-input LLRs of frozen components too, so it runs the full tree's schedule.
+This module alone knows the schedule's steps and the buffer layout, and
+``_State.run`` alone interprets them; a leaf reads a frozen decision as the
+False that loading left. Scalar :func:`decode` is a batch of one. The
+pipeline model and the hybrid decoder run slices of the schedule on a
+one-frame ``_State``: they find their cuts with ``_subtrees`` (the op range
+of each subtree of a given length) and read and write node LLRs, re-encoded
+bits and decisions through the state's accessors, in natural order. The
+hybrid front end reads frozen components' input LLRs too, so it runs the
+full tree's schedule.
 """
 
 from dataclasses import dataclass
@@ -82,11 +84,20 @@ def encode_batch(u):
     return _polar_transform(u)
 
 
-def quantize_batch(llrs, fmt):
-    """Quantize float LLRs to signed integer words (sign-magnitude semantics)."""
-    llrs = np.asarray(llrs, dtype=np.float64)
+def _floats(llrs):
+    """Integer or float LLRs as float64; strings, bools, complex and non-finite values are refused."""
+    llrs = np.asarray(llrs)
+    if llrs.dtype.kind not in "iuf":
+        raise ValueError(f"LLRs must be integers or floats, got dtype {llrs.dtype}")
+    llrs = llrs.astype(np.float64, copy=False)
     if not np.isfinite(llrs).all():
         raise ValueError("LLRs must be finite")
+    return llrs
+
+
+def quantize_batch(llrs, fmt):
+    """Quantize float LLRs to signed integer words (sign-magnitude semantics)."""
+    llrs = _floats(llrs)
     mag = np.floor(np.abs(llrs) * fmt.scale + 0.5)
     if fmt.bits <= 32:
         mag = np.minimum(mag, fmt.max_magnitude).astype(np.int32)
@@ -173,17 +184,12 @@ def _f_exact(a, b, out, x, y):
     np.multiply(np.copysign(1.0, np.multiply(a, b, out=x), out=x), out, out=out)
 
 
-def _word_f(dtype):
-    """Min-sum f on integer words of ``dtype``; the sign is the top bit of a ^ b."""
-    shift = np.iinfo(dtype).bits - 1
-
-    def f(a, b, out, x, y):
-        np.minimum(np.abs(a, out=x), np.abs(b, out=y), out=out)
-        sign = np.right_shift(np.bitwise_xor(a, b, out=x), shift, out=x)
-        sign |= 1  # -1 where the signs differ, 1 where they agree
-        out *= sign
-
-    return f
+def _f_words(a, b, out, x, y):
+    """Min-sum f on integer words; the sign is the top bit of a ^ b."""
+    np.minimum(np.abs(a, out=x), np.abs(b, out=y), out=out)
+    sign = np.right_shift(np.bitwise_xor(a, b, out=x), 8 * a.itemsize - 1, out=x)
+    sign |= 1  # -1 where the signs differ, 1 where they agree
+    out *= sign
 
 
 def _word_dtype(max_magnitude):
@@ -215,84 +221,26 @@ def _checked(llrs, kernel):
         if llrs.size and (llrs.min() < -clip or llrs.max() > clip):
             raise ValueError(f"quantized words must lie in [-{clip}, {clip}]")
         return llrs
-    llrs = llrs.astype(np.float64, copy=False)
-    if not np.isfinite(llrs).all():
-        raise ValueError("LLRs must be finite")
-    return llrs
+    return _floats(llrs)
 
 
 def _as_row(llrs, kernel):
     """
-    One frame of channel LLRs as a numpy row: floats for float kernels, the
-    integer values of QLlr words of the kernel's width for the quantized one.
+    One frame of channel LLRs as a numpy row, unchecked: the raw values for float
+    kernels, the integer values of QLlr words of the kernel's width for the quantized one.
     """
     if kernel.arithmetic == "quantized":
         width = kernel.qformat.bits
         if any(not isinstance(x, QLlr) or x.bits != width for x in llrs):
             raise ValueError(f"quantized decode expects QLlr words of width {width}")
         return np.array([x.value for x in llrs], dtype=np.int64)
-    return np.asarray(llrs, dtype=np.float64)
-
-
-def _run_schedule(ops, llr, mult, u, scratch, f, clip, shortcut):
-    """
-    Run a slice of a schedule on one block of frames.
-
-    ``u`` must start all False; frozen decisions are never written. Rows
-    [0, h) of ``llr`` belong to finished subtrees when a node of length 2h
-    runs, so they serve as f's second scratch buffer.
-    """
-    a, b = llr[2], llr[3]
-    fv, x, y = llr[1], scratch[0], llr[0]
-    flag = np.empty(a.shape, dtype=bool)
-    signs = np.array([1, -1], dtype=mult.dtype)  # decision bit -> multiplier
-    for op in ops:
-        kind = op[0]
-        if kind == _LEAF:
-            _, _, off, a_even, a_odd = op
-            u0, u1, m0, m1 = u[off], u[off + 1], mult[off], mult[off + 1]
-            if a_even:
-                f(a, b, fv, x, y)
-                np.less(fv, 0, out=u0)
-            if not a_odd:
-                m1.fill(1)
-            else:
-                if shortcut:
-                    # |a| > |b|: the sign of a XOR the even decision; else the sign of b
-                    np.greater(np.abs(a, out=x), np.abs(b, out=y), out=flag)
-                    np.less(np.where(flag, a, b), 0, out=u1)
-                    if a_even:
-                        u1 ^= np.logical_and(u0, flag, out=flag)
-                elif a_even:
-                    # saturation keeps the sign, so the unclipped sum decides
-                    np.less(np.where(u0, b - a, b + a), 0, out=u1)
-                else:
-                    np.less(np.add(b, a, out=x), 0, out=u1)
-                np.take(signs, u1.view(np.uint8), out=m1, mode="wrap")
-            if a_even:
-                np.take(signs, np.logical_xor(u0, u1, out=flag).view(np.uint8), out=m0, mode="wrap")
-            else:
-                m0[...] = m1
-            continue
-        _, h, off = op
-        if kind == _F:
-            f(llr[2 * h : 3 * h], llr[3 * h : 4 * h], llr[h : 2 * h], scratch[:h], llr[:h])
-        elif kind == _G:
-            child = llr[h : 2 * h]
-            np.multiply(mult[off : off + h], llr[2 * h : 3 * h], out=child)
-            child += llr[3 * h : 4 * h]
-            if clip is not None:
-                np.clip(child, -clip, clip, out=child)
-        elif kind == _COMBINE:
-            mult[off : off + h] *= mult[off + h : off + 2 * h]
-        else:
-            mult[off : off + 2 * h].fill(1)
+    return np.asarray(llrs)
 
 
 class _State:
     """
-    The buffers of up to ``width`` frames of length ``n``, and the kernel's
-    arithmetic, on which any contiguous slice of a schedule can run.
+    The buffers of up to ``width`` frames of length ``n`` and the kernel's
+    arithmetic; :meth:`run` interprets any contiguous slice of a schedule.
 
     Rows [m, 2m) of the level buffer ``llr`` hold the LLRs of the current
     length-m node, so the channel LLRs stay in rows [n, 2n). ``mult`` holds
@@ -304,8 +252,7 @@ class _State:
     def __init__(self, kernel, n, width):
         if kernel.arithmetic == "quantized":
             self.clip = kernel.qformat.max_magnitude
-            dtype = _word_dtype(self.clip)
-            self.f = _word_f(dtype)
+            dtype, self.f = _word_dtype(self.clip), _f_words
         else:
             self.clip, dtype = None, np.float64
             self.f = _f_minsum if kernel.arithmetic == "minsum" else _f_exact
@@ -315,6 +262,8 @@ class _State:
         self.mult = np.empty((n, width), dtype=dtype)
         self.scratch = np.empty((n // 2, width), dtype=dtype)
         self.u = np.empty((n, width), dtype=bool)
+        self.flag = np.empty(width, dtype=bool)
+        self.signs = np.array([1, -1], dtype=dtype)  # decision bit -> multiplier
 
     @classmethod
     def one_frame(cls, llrs, kernel):
@@ -334,10 +283,49 @@ class _State:
         self.u[:, : self.frames].fill(False)
 
     def run(self, ops):
-        """Run a slice of a schedule on the loaded frames."""
+        """
+        Run a slice of a schedule on the loaded frames. A leaf reads a frozen
+        decision, never written, as the False that ``load`` left: multiplier
+        +1. Rows [0, h) of ``llr`` belong to finished subtrees when a node of
+        length 2h runs, so they serve as f's second scratch buffer.
+        """
         k = self.frames
-        _run_schedule(ops, self.llr[:, :k], self.mult[:, :k], self.u[:, :k],
-                      self.scratch[:, :k], self.f, self.clip, self.shortcut)
+        llr, mult, u, scratch = self.llr[:, :k], self.mult[:, :k], self.u[:, :k], self.scratch[:, :k]
+        f, clip, shortcut, signs, flag = self.f, self.clip, self.shortcut, self.signs, self.flag[:k]
+        a, b = llr[2], llr[3]
+        fv, x, y = llr[1], scratch[0], llr[0]
+        for op in ops:
+            kind = op[0]
+            if kind == _LEAF:
+                _, _, off, a_even, a_odd = op
+                u0, u1 = u[off], u[off + 1]
+                if a_even:
+                    f(a, b, fv, x, y)
+                    np.less(fv, 0, out=u0)
+                if a_odd and shortcut:
+                    # |a| > |b|: the sign of a XOR the even decision; else the sign of b
+                    np.greater(np.abs(a, out=x), np.abs(b, out=y), out=flag)
+                    np.less(np.where(flag, a, b), 0, out=u1)
+                    u1 ^= np.logical_and(u0, flag, out=flag)
+                elif a_odd:
+                    # saturation keeps the sign, so the unclipped sum decides
+                    np.less(np.where(u0, b - a, b + a), 0, out=u1)
+                np.take(signs, u1.view(np.uint8), out=mult[off + 1], mode="wrap")
+                np.take(signs, np.logical_xor(u0, u1, out=flag).view(np.uint8), out=mult[off], mode="wrap")
+                continue
+            _, h, off = op
+            if kind == _F:
+                f(llr[2 * h : 3 * h], llr[3 * h : 4 * h], llr[h : 2 * h], scratch[:h], llr[:h])
+            elif kind == _G:
+                child = llr[h : 2 * h]
+                np.multiply(mult[off : off + h], llr[2 * h : 3 * h], out=child)
+                child += llr[3 * h : 4 * h]
+                if clip is not None:
+                    np.clip(child, -clip, clip, out=child)
+            elif kind == _COMBINE:
+                mult[off : off + h] *= mult[off + h : off + 2 * h]
+            else:
+                mult[off : off + 2 * h].fill(1)
 
     def node_llrs(self, m):
         """The input LLRs of the running length-m node, (frames, m)."""

@@ -331,6 +331,25 @@ class TestModels:
         )
         assert code != 0 and "comb-tp" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pipeline", "--n", "1024", "--comb-tp", "0"],
+            ["pipeline", "--n", "1024", "--comb-delay", "0"],
+            ["pipeline", "--n", "1024", "--comb-delay", "400e-9", "--stages", "-1"],
+            ["hybrid", "--n", "1024", "--nprime", "16", "--p", "64", "--fc", "173e6", "--comb-tp", "0"],
+            ["hybrid", "--n", "1024", "--nprime", "16", "--p", "64", "--fc", "173e6", "--comb-delay", "0"],
+            ["analyze", "--n", "1024", "--freq", "-5"],
+            ["analyze", "--n", "1024", "--freq", "0"],
+            ["analyze", "--n", "1024", "--delay", "0"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_non_positive_model_inputs_fail(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("polarsc: error:")
+
     def test_pipeline_table(self, capsys):
         code, out, _ = run_cli(
             ["pipeline", "--n", "1024", "--stages", "1", "--comb-delay", "400e-9"],

@@ -164,6 +164,9 @@ class TestLatencyGain:
             HybridConfig(1024, 2048, 64, 1e8, 1e-8)
         with pytest.raises(ValueError):
             HybridConfig(1024, 16, 64, 0.0, 1e-8)
+        for tp in (0.0, -1.05e9):
+            with pytest.raises(ValueError):
+                HybridConfig.from_comb_throughput(1024, 16, 64, 1e8, tp)
 
 
 def test_component_inputs_checks_a_trailing_partial_component():

@@ -14,6 +14,7 @@ from polarsc import (
     QLlr,
     component_inputs,
     construct_frozen_mask,
+    decode,
     decode_batch,
     encode,
     encode_batch,
@@ -195,6 +196,27 @@ class TestDecodeBatch:
             decode_batch(np.zeros((2, 4)), [1, 1])
 
 
+NON_REAL_LLRS = {
+    "str": ["1.5", "-2", "0.5", "3"],
+    "complex": [1.5 + 1j, -2.0, 0.5, 3.0],
+    "bool": [True, False, True, True],
+}
+LLR_ENTRY_POINTS = {
+    "decode_batch": lambda llrs: decode_batch(np.array([llrs]), [0, 1, 1, 1]),
+    "decode": lambda llrs: decode(llrs, [0, 1, 1, 1]),
+    "quantize_batch": lambda llrs: quantize_batch(llrs, Q5),
+    "pipeline_step": lambda llrs: PipelinedDecoder([0, 1, 1, 1]).step(llrs),
+    "hybrid_decode": lambda llrs: hybrid_decode(llrs, [0, 1, 1, 1], 2),
+}
+
+
+@pytest.mark.parametrize("entry", LLR_ENTRY_POINTS.values(), ids=LLR_ENTRY_POINTS.keys())
+@pytest.mark.parametrize("llrs", NON_REAL_LLRS.values(), ids=NON_REAL_LLRS.keys())
+def test_llrs_must_be_integers_or_floats(entry, llrs):
+    with pytest.raises(ValueError, match="integers or floats"):
+        entry(llrs)
+
+
 KERNELS = [
     DecoderKernel(arithmetic, decision)
     for arithmetic in ("minsum", "exact")
@@ -290,27 +312,35 @@ def test_scalar_and_batched_f_agree_bit_for_bit(scalar, batched):
     assert np.array_equal(out.view(np.int64), want.view(np.int64))
 
 
-def _tie_heavy(rng, frames, n):
+def _tie_heavy(rng, frames, n, kernel=None):
+    """Small floats with signed zeros, or for a quantized kernel integer words that include +/-max."""
+    if kernel is not None and kernel.arithmetic == "quantized":
+        m = kernel.qformat.max_magnitude
+        return rng.choice([-m, -2, -1, 0, 0, 1, 2, m], (frames, n))
     return rng.choice([-2.0, -1.0, -0.0, 0.0, 0.0, 1.0, 2.0], (frames, n))
+
+
+# 5-bit words are carried in int8 and 9-bit words in int16
+WORD_KERNELS = [DecoderKernel.quantized(QFormat(bits), d) for bits in (5, 9) for d in ("shortcut", "plain")]
 
 
 class TestPrunedSchedule:
     """Frozen subtrees compile to one zero step; decisions stay those of the full tree."""
 
-    @pytest.mark.parametrize("kernel", KERNELS, ids=str)
+    @pytest.mark.parametrize("kernel", KERNELS + WORD_KERNELS, ids=str)
     @pytest.mark.parametrize("n", [2**e for e in range(1, 9)])
     def test_structural_masks(self, kernel, n):
         rng = np.random.default_rng(n)
         half = np.r_[np.zeros(n // 2), np.ones(n // 2)].astype(np.uint8)
-        llrs = _tie_heavy(rng, 8, n)
+        llrs = _tie_heavy(rng, 8, n, kernel)
         for mask in (np.zeros(n), np.ones(n), half, 1 - half):
             _assert_rows_match_scalar(llrs, mask, kernel)
 
-    @pytest.mark.parametrize("kernel", KERNELS, ids=str)
+    @pytest.mark.parametrize("kernel", KERNELS + WORD_KERNELS, ids=str)
     def test_frozen_runs_at_every_alignment(self, kernel):
         rng = np.random.default_rng(15)
         n = 64
-        llrs = _tie_heavy(rng, 3, n)
+        llrs = _tie_heavy(rng, 3, n, kernel)
         for length in (2, 4, 8, 16, 32, 64):
             for start in range(n - length + 1):
                 mask = np.ones(n, dtype=np.uint8)
