@@ -12,7 +12,6 @@ from .code import (
 from .hardware import (
     ComplexityCounts,
     GateDelays,
-    HwReport,
     Metrics,
     base_block_delay,
     complexity,
@@ -20,7 +19,6 @@ from .hardware import (
     delay_recursive,
     dynamic_power,
     metrics,
-    report,
     structural_unit_counts,
 )
 from .hybrid import (

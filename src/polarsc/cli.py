@@ -156,35 +156,54 @@ def _cmd_hybrid(args):
     return 0
 
 
+def _given_together(args, *flags):
+    """The values of flags that go together, or None when none is given; some but not all is an error."""
+    values = [getattr(args, flag[2:].replace("-", "_")) for flag in flags]
+    if all(v is None for v in values):
+        return None
+    if any(v is None for v in values):
+        raise ValueError(f"{', '.join(flags[:-1])} and {flags[-1]} must be given together")
+    return values
+
+
 def _cmd_analyze(args):
-    gates = None
-    if any(v > 0 for v in (args.delta_c, args.delta_m, args.delta_x, args.delta_a, args.t_n)):
-        gates = hardware.GateDelays(args.delta_c, args.delta_m, args.delta_x, args.delta_a, args.t_n)
     for flag, value in (("--delay", args.delay), ("--freq", args.freq)):
         if value is not None and value <= 0:
             raise ValueError(f"{flag} must be positive")
+    counts = hardware.complexity(args.n)
+    deltas = (args.delta_c, args.delta_m, args.delta_x, args.delta_a, args.t_n)
+    modeled = None
+    if any(v is not None for v in deltas):
+        gates = hardware.GateDelays(*(0.0 if v is None else v for v in deltas))
+        modeled = hardware.delay_recursive(args.n, gates), hardware.delay_closed(args.n, gates)
     delay = args.delay
-    if delay is None and args.freq:
+    if args.freq is not None:
         delay = 1.0 / args.freq
-    rep = hardware.report(args.n, gates, delay, args.power, args.area)
-    c = rep.counts
+    elif delay is None and modeled is not None:
+        delay = modeled[1]
+    figures = p_dyn = None
+    if measured := _given_together(args, "--power", "--area"):
+        if delay is None:
+            raise ValueError("--power and --area need a delay: --delay, --freq or gate delays")
+        figures = hardware.metrics(args.n, delay, *measured)
+    if switching := _given_together(args, "--alpha", "--cap", "--vdd", "--switch-freq"):
+        p_dyn = hardware.dynamic_power(*switching)
+
     print(f"N={args.n}")
-    print(f"check comparators    {c.check_comparators}")
-    print(f"decision comparators {c.decision_comparators}")
-    print(f"adders/subtractors   {c.adders}")
-    print(f"total blocks         {c.total}")
-    if gates is not None:
-        print(f"delay (recursive)    {hardware.delay_recursive(args.n, gates):.6e} s")
-        print(f"delay (closed form)  {hardware.delay_closed(args.n, gates):.6e} s")
-    if rep.delay_s is not None:
-        print(f"delay                {rep.delay_s:.6e} s")
-    if rep.metrics is not None:
-        m = rep.metrics
-        print(f"throughput           {m.throughput_bps / 1e9:.3f} Gb/s")
-        print(f"energy per bit       {m.energy_per_bit_j * 1e12:.2f} pJ/b")
-        print(f"hardware efficiency  {m.hw_efficiency_bps_per_m2 / 1e12:.1f} Mb/s/mm^2")
-    if args.alpha is not None:
-        p_dyn = hardware.dynamic_power(args.alpha, args.cap, args.vdd, args.switch_freq)
+    print(f"check comparators    {counts.check_comparators}")
+    print(f"decision comparators {counts.decision_comparators}")
+    print(f"adders/subtractors   {counts.adders}")
+    print(f"total blocks         {counts.total}")
+    if modeled is not None:
+        print(f"delay (recursive)    {modeled[0]:.6e} s")
+        print(f"delay (closed form)  {modeled[1]:.6e} s")
+    if delay is not None:
+        print(f"delay                {delay:.6e} s")
+    if figures is not None:
+        print(f"throughput           {figures.throughput_bps / 1e9:.3f} Gb/s")
+        print(f"energy per bit       {figures.energy_per_bit_j * 1e12:.2f} pJ/b")
+        print(f"hardware efficiency  {figures.hw_efficiency_bps_per_m2 / 1e12:.1f} Mb/s/mm^2")
+    if p_dyn is not None:
         print(f"dynamic power        {p_dyn:.6e} W")
     return 0
 
@@ -255,19 +274,20 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="complexity/delay/metric analysis")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta-c", type=float, default=0.0, help="comparator delay")
-    p.add_argument("--delta-m", type=float, default=0.0, help="multiplexer delay")
-    p.add_argument("--delta-x", type=float, default=0.0, help="XOR delay")
-    p.add_argument("--delta-a", type=float, default=0.0, help="AND delay")
-    p.add_argument("--t-n", type=float, default=0.0, help="interconnect delay")
-    p.add_argument("--delay", type=float, help="measured decoder delay in seconds")
-    p.add_argument("--freq", type=float, help="measured clock frequency in Hz")
+    p.add_argument("--delta-c", type=float, help="comparator delay")
+    p.add_argument("--delta-m", type=float, help="multiplexer delay")
+    p.add_argument("--delta-x", type=float, help="XOR delay")
+    p.add_argument("--delta-a", type=float, help="AND delay")
+    p.add_argument("--t-n", type=float, help="interconnect delay")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--delay", type=float, help="measured decoder delay in seconds")
+    group.add_argument("--freq", type=float, help="measured clock frequency in Hz")
     p.add_argument("--power", type=float, help="power in W (enables metrics)")
     p.add_argument("--area", type=float, help="area in m^2 (enables metrics)")
     p.add_argument("--alpha", type=float, help="switching activity factor")
-    p.add_argument("--cap", type=float, default=0.0, help="load capacitance in F")
-    p.add_argument("--vdd", type=float, default=0.0, help="supply voltage in V")
-    p.add_argument("--switch-freq", type=float, default=0.0, help="clock for P_dyn in Hz")
+    p.add_argument("--cap", type=float, help="load capacitance in F")
+    p.add_argument("--vdd", type=float, help="supply voltage in V")
+    p.add_argument("--switch-freq", type=float, help="clock for P_dyn in Hz")
     p.set_defaults(func=_cmd_analyze)
 
     return parser

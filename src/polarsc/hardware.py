@@ -3,7 +3,6 @@
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 from .code import _require_power_of_two
 
@@ -151,29 +150,3 @@ def dynamic_power(alpha, capacitance_f, v_dd, f_c_hz):
     if min(alpha, capacitance_f, v_dd, f_c_hz) < 0:
         raise ValueError("dynamic power inputs must be nonnegative")
     return alpha * capacitance_f * v_dd * v_dd * f_c_hz
-
-
-@dataclass(frozen=True)
-class HwReport:
-    """Aggregated analyzer output for one block length."""
-
-    n: int
-    counts: ComplexityCounts
-    delay_s: Optional[float] = None
-    metrics: Optional[Metrics] = None
-
-
-def report(n, gate_delays=None, delay_s=None, power_w=None, area_m2=None):
-    """
-    Assemble complexity, modeled or supplied delay, and metrics for one decoder.
-
-    ``delay_s`` overrides the gate-delay model when both are given. Metrics
-    require a delay source plus power and area.
-    """
-    counts = complexity(n)
-    if delay_s is None and gate_delays is not None:
-        delay_s = delay_closed(n, gate_delays)
-    figures = None
-    if delay_s is not None and power_w is not None and area_m2 is not None:
-        figures = metrics(n, delay_s, power_w, area_m2)
-    return HwReport(n, counts, delay_s, figures)

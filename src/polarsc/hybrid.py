@@ -164,11 +164,7 @@ def latency_gain(cfg):
     l_full = semi_parallel_latency(cfg.n, cfg.p)
     wait = math.ceil(cfg.comb_delay_s * cfg.f_c_hz)
     reduction = (2 * cfg.n_prime - 2) - wait
-    remaining = l_full - (cfg.n // cfg.n_prime) * reduction
-    if remaining <= 0:
-        raise ValueError(
-            "latency model breakdown: repetition savings exceed the total latency"
-        )
-    gain = l_full / remaining
+    # what remains, (N/P)*log2(N/(4P)) + (N/N')*(2 + wait), is positive since P <= N/4
+    gain = l_full / (l_full - (cfg.n // cfg.n_prime) * reduction)
     tp_sync = cfg.f_c_hz * cfg.n / l_full
     return HybridReport(l_full, reduction, gain, tp_sync, gain * tp_sync)

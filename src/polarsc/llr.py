@@ -82,6 +82,13 @@ def g_fn(l1, l2, v):
     return l2 + (1 - 2 * int(v)) * l1
 
 
+def _max_magnitude(bits):
+    """Largest magnitude of a sign-magnitude word of ``bits`` bits, sign included."""
+    if bits < 2:
+        raise ValueError(f"need at least 2 bits (sign + magnitude), got {bits}")
+    return (1 << (bits - 1)) - 1
+
+
 @dataclass(frozen=True)
 class QFormat:
     """
@@ -95,14 +102,13 @@ class QFormat:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.bits < 2:
-            raise ValueError(f"need at least 2 bits (sign + magnitude), got {self.bits}")
+        _max_magnitude(self.bits)
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
     @property
     def max_magnitude(self):
-        return (1 << (self.bits - 1)) - 1
+        return _max_magnitude(self.bits)
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,7 @@ class QLlr:
     def __post_init__(self):
         if self.sign not in (0, 1):
             raise ValueError(f"sign must be 0 or 1, got {self.sign}")
-        max_mag = (1 << (self.bits - 1)) - 1
+        max_mag = _max_magnitude(self.bits)
         if not 0 <= self.magnitude <= max_mag:
             raise ValueError(
                 f"magnitude {self.magnitude} out of range [0, {max_mag}] for {self.bits} bits"
@@ -132,8 +138,7 @@ class QLlr:
     @classmethod
     def from_value(cls, value, bits):
         """Build a word from a signed integer, saturating the magnitude."""
-        max_mag = (1 << (bits - 1)) - 1
-        mag = min(abs(int(value)), max_mag)
+        mag = min(abs(int(value)), _max_magnitude(bits))
         return cls(0 if mag == 0 else (1 if value < 0 else 0), mag, bits)
 
 
@@ -181,4 +186,4 @@ def qg_saturates(a, b, v):
     """True when :func:`qg_fn` on the same operands would clip its magnitude."""
     _check_widths(a, b)
     raw = b.value + (1 - 2 * int(v)) * a.value
-    return abs(raw) > (1 << (a.bits - 1)) - 1
+    return abs(raw) > _max_magnitude(a.bits)

@@ -123,6 +123,7 @@ class PipelineTimingModel:
     stages: int = 0
 
     def __post_init__(self):
+        _require_power_of_two(self.n, 4, "block length")
         if self.base_delay_s <= 0:
             raise ValueError("base combinational delay must be positive")
         if self.stages < 0:

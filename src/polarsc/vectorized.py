@@ -251,8 +251,9 @@ class _State:
 
     def __init__(self, kernel, n, width):
         if kernel.arithmetic == "quantized":
-            self.clip = kernel.qformat.max_magnitude
-            dtype, self.f = _word_dtype(self.clip), _f_words
+            dtype, self.f = _word_dtype(kernel.qformat.max_magnitude), _f_words
+            # a bound in the word type spares np.clip an np.iinfo per call
+            self.clip = dtype(kernel.qformat.max_magnitude)
         else:
             self.clip, dtype = None, np.float64
             self.f = _f_minsum if kernel.arithmetic == "minsum" else _f_exact

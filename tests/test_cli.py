@@ -3,7 +3,20 @@
 import numpy as np
 import pytest
 
-from polarsc import DecoderKernel, QFormat, construct_frozen_mask, encode, load_mask, quantize
+from polarsc import (
+    CodeSpec,
+    DecoderKernel,
+    GateDelays,
+    QFormat,
+    SimConfig,
+    construct_frozen_mask,
+    csv_text,
+    delay_closed,
+    encode,
+    load_mask,
+    quantize,
+    run_sweep,
+)
 from polarsc.cli import main
 from polarsc.vectorized import BLOCK_FRAMES
 from test_decoder import reference_decode
@@ -129,6 +142,24 @@ class TestEncodeDecodePipe:
             want = reference_decode(frame, mask, kernel)[0][mask == 1]
             assert line == " ".join(str(b) for b in want)
 
+    def test_exact_decode_matches_reference(self, tmp_path, mask_file, capsys):
+        rng = np.random.default_rng(2)
+        llrs = rng.normal(scale=3.0, size=(5, 16))
+        llr_in = tmp_path / "llrs.txt"
+        llr_in.write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in llrs))
+        code, out, _ = run_cli(["decode", "--mask", str(mask_file), "--in", str(llr_in), "--exact"], capsys)
+        assert code == 0
+        mask = load_mask(mask_file)
+        want = [reference_decode(row, mask, DecoderKernel.exact())[0][mask == 1] for row in llrs]
+        assert out.splitlines() == [" ".join(str(b) for b in bits) for bits in want]
+
+    def test_blank_lines_are_skipped(self, tmp_path, mask_file, capsys):
+        data_in = tmp_path / "data.txt"
+        data_in.write_text("\n1 0 1 1 0 0 1 0\n   \n\n0 1 1 0 1 0 0 1\n")
+        code, out, _ = run_cli(["encode", "--mask", str(mask_file), "--in", str(data_in)], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 2
+
     def test_encode_frames_across_blocks(self, tmp_path, mask_file, capsys):
         rng = np.random.default_rng(1)
         data = rng.integers(0, 2, (BLOCK_FRAMES + 3, 8))
@@ -247,6 +278,29 @@ class TestSimulate:
         )
         assert code != 0 and "snr" in err.lower()
 
+    @pytest.mark.parametrize("snr", ["1:2:0", "1:2:-1", "3:1:1"])
+    def test_snr_grid_without_points_fails(self, mask_file, capsys, snr):
+        code, out, err = run_cli(["simulate", "--mask", str(mask_file), "--snr", snr], capsys)
+        assert code == 1 and out == ""
+        assert "snr" in err.lower()
+
+    def test_exact_kernel(self, tmp_path, mask_file, capsys):
+        out_csv = tmp_path / "fer.csv"
+        argv = [
+            "simulate", "--mask", str(mask_file), "--snr", "2", "--exact",
+            "--max-trials", "256", "--min-errors", "5", "--out", str(out_csv),
+        ]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        config = SimConfig(
+            code=CodeSpec(16, load_mask(mask_file)),
+            kernel=DecoderKernel.exact(),
+            snr_db=(2.0,),
+            max_trials=256,
+            min_frame_errors=5,
+        )
+        assert out_csv.read_text() == csv_text(run_sweep(config))
+
     def test_missing_mask_fails(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["simulate", "--mask", str(tmp_path / "nope.txt"), "--snr", "1"], capsys
@@ -285,6 +339,17 @@ class TestModels:
             )
         assert code == 0
         assert "2.500000e+01" in out
+
+    def test_analyze_metrics_use_the_given_delay_else_the_closed_form(self, capsys):
+        gates = ["--delta-c", "1e-10", "--delta-m", "5e-11", "--delta-x", "2e-11", "--delta-a", "1e-11"]
+        closed = delay_closed(256, GateDelays(1e-10, 5e-11, 2e-11, 1e-11))
+        for given, delay in (([], closed), (["--delay", "1e-7"], 1e-7)):
+            argv = ["analyze", "--n", "256", *gates, "--power", "0.1", "--area", "1e-6", *given]
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            assert f"delay (closed form)  {closed:.6e} s" in out
+            assert f"delay                {delay:.6e} s" in out
+            assert f"throughput           {256 / delay / 1e9:.3f} Gb/s" in out
 
     def test_analyze_complexity_anchors(self, capsys):
         code, out, _ = run_cli(["analyze", "--n", "4"], capsys)
@@ -349,6 +414,39 @@ class TestModels:
         code, out, err = run_cli(argv, capsys)
         assert code == 1 and out == ""
         assert err.startswith("polarsc: error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pipeline", "--n", "0", "--comb-delay", "4e-7"],
+            ["pipeline", "--n", "1000", "--comb-delay", "4e-7"],
+            ["analyze", "--n", "64", "--delta-c=-1e-12"],
+            ["analyze", "--n", "64", "--alpha", "0.2"],
+            ["analyze", "--n", "64", "--alpha", "0.5", "--cap", "2e-9", "--vdd", "1.3"],
+            ["analyze", "--n", "64", "--power", "0.1"],
+            ["analyze", "--n", "64", "--area", "1e-6"],
+            ["analyze", "--n", "64", "--power", "0.1", "--area", "1e-6"],
+            ["analyze", "--n", "64", "--delta-c", "0", "--power", "0.1", "--area", "1e-6"],
+            ["analyze", "--n", "4", "--delta-c", "1e-10", "--delay", "1e-7"],
+        ],
+        ids=" ".join,
+    )
+    def test_invalid_model_inputs_fail(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("polarsc: error:")
+
+    def test_analyze_delay_and_freq_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--n", "64", "--delay", "1e-7", "--freq", "1e7"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_analyze_explicit_zero_delay_is_a_gate_model(self, capsys):
+        code, out, _ = run_cli(["analyze", "--n", "64", "--delta-c", "0"], capsys)
+        assert code == 0
+        assert "delay (closed form)  0.000000e+00 s" in out
+        assert "delay                0.000000e+00 s" in out
 
     def test_pipeline_table(self, capsys):
         code, out, _ = run_cli(

@@ -13,7 +13,6 @@ from polarsc import (
     delay_recursive,
     dynamic_power,
     metrics,
-    report,
     structural_unit_counts,
 )
 
@@ -194,21 +193,3 @@ class TestDynamicPower:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             dynamic_power(-0.1, 1, 1, 1)
-
-
-class TestReport:
-    def test_composes_counts_delay_metrics(self):
-        d = sane_delays(1e-10, 5e-11, 2e-11, 1e-11)
-        rep = report(256, d, power_w=0.1, area_m2=1e-6)
-        assert rep.counts.total == complexity(256).total
-        assert rep.delay_s == pytest.approx(delay_closed(256, d))
-        assert rep.metrics.throughput_bps == pytest.approx(256 / rep.delay_s)
-
-    def test_delay_override_wins(self):
-        d = sane_delays(1e-10, 5e-11, 2e-11, 1e-11)
-        rep = report(256, d, delay_s=1e-7)
-        assert rep.delay_s == 1e-7
-
-    def test_counts_only(self):
-        rep = report(64)
-        assert rep.delay_s is None and rep.metrics is None

@@ -13,9 +13,12 @@ from polarsc import (
     construct_frozen_mask,
     decode,
     encode,
+    QLlr,
     g_fn,
     hybrid_decode,
     latency_gain,
+    qf_minsum,
+    qg_fn,
     quantize,
     semi_parallel_latency,
 )
@@ -62,6 +65,17 @@ class TestComponentSplit:
         v = encode(decided)
         want = [g_fn(llrs[2 * j], llrs[2 * j + 1], int(v[j])) for j in range(4)]
         assert component_inputs(llrs, decided, 4) == pytest.approx(want)
+
+    def test_quantized_components_get_words(self):
+        kernel = DecoderKernel.quantized(QFormat(5))
+        words = [QLlr.from_value(v, 5) for v in (7, -3, 15, -15, 0, 2, -9, 4)]
+        pairs = [(words[2 * j], words[2 * j + 1]) for j in range(4)]
+        assert component_inputs(words, [], 4, kernel) == [qf_minsum(a, b) for a, b in pairs]
+        decided = [0, 1, 1, 0]
+        v = encode(decided)
+        # the second pair, -15 - 15, saturates at magnitude 15
+        want = [qg_fn(a, b, v[j]) for j, (a, b) in enumerate(pairs)]
+        assert component_inputs(words, decided, 4, kernel) == want
 
 
 class TestTransparency:
@@ -172,3 +186,8 @@ class TestLatencyGain:
 def test_component_inputs_checks_a_trailing_partial_component():
     with pytest.raises(ValueError):
         component_inputs([1.0] * 8, [0, 0, 0, 0, 7], 4)
+
+
+def test_component_inputs_needs_a_component_left():
+    with pytest.raises(ValueError, match="leave no component"):
+        component_inputs([1.0] * 8, [0] * 8, 4)

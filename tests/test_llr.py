@@ -189,6 +189,18 @@ class TestQLlr:
         with pytest.raises(ValueError):
             QLlr(0, 16, 5)
 
+    def test_rejects_non_bit_sign(self):
+        with pytest.raises(ValueError, match="sign"):
+            QLlr(2, 1, 5)
+
+    @pytest.mark.parametrize("bits", [0, 1])
+    def test_rejects_words_narrower_than_two_bits(self, bits):
+        # QFormat refuses these widths; the words must too, with the same message
+        with pytest.raises(ValueError, match="at least 2 bits"):
+            QLlr(0, 0, bits)
+        with pytest.raises(ValueError, match="at least 2 bits"):
+            QLlr.from_value(3, bits)
+
     def test_value_roundtrip(self):
         for word in Q5_WORDS:
             assert QLlr.from_value(word.value, 5) == word
@@ -203,6 +215,10 @@ class TestQuantizedOps:
 
     def test_qg_subtract(self):
         assert qg_fn(QLlr(0, 1, 5), QLlr(0, 2, 5), 1) == QLlr(0, 1, 5)
+
+    def test_qg_rejects_non_bit_partial_sum(self):
+        with pytest.raises(ValueError, match="partial-sum bit"):
+            qg_fn(QLlr(0, 1, 5), QLlr(0, 2, 5), 2)
 
     def test_mixed_widths_rejected(self):
         with pytest.raises(ValueError):

@@ -209,6 +209,9 @@ class TestThroughputModel:
             assert abs(gain - 2.0) <= 0.25
 
     def test_validation(self):
+        for n in (0, 2, 1000):
+            with pytest.raises(ValueError, match="block length"):
+                PipelineTimingModel(n, 1e-9, 1)
         with pytest.raises(ValueError):
             PipelineTimingModel(16, 0.0, 1)
         with pytest.raises(ValueError):

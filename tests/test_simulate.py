@@ -172,3 +172,5 @@ class TestSweepAndCsv:
             small_config(max_trials=0)
         with pytest.raises(ValueError):
             small_config(min_frame_errors=0)
+        with pytest.raises(ValueError):
+            small_config(chunk_trials=0)

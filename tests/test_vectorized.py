@@ -194,6 +194,16 @@ class TestDecodeBatch:
             decode_batch(np.zeros((2, 3)), [1, 1, 1])
         with pytest.raises(ValueError):
             decode_batch(np.zeros((2, 4)), [1, 1])
+        for shape in ((4,), (2, 2, 4)):
+            with pytest.raises(ValueError, match="matrix"):
+                decode_batch(np.zeros(shape), [1, 1, 1, 1])
+
+    def test_refuses_words_too_wide_for_int64(self):
+        # quantize_batch makes 64-bit words, but a g sum of two would overflow int64
+        fmt = QFormat(64)
+        words = quantize_batch(np.ones((2, 4)), fmt)
+        with pytest.raises(ValueError, match="too wide"):
+            decode_batch(words, [0, 1, 1, 1], DecoderKernel.quantized(fmt))
 
 
 NON_REAL_LLRS = {
