@@ -15,14 +15,12 @@ from .vectorized import BLOCK_FRAMES, DecoderKernel, decode_batch, encode_batch,
 
 
 def _kernel_from_flags(args):
-    if getattr(args, "exact", False):
+    if args.exact:
         if args.qbits:
             raise ValueError("--exact and --qbits > 0 are mutually exclusive")
         return DecoderKernel.exact(decision=args.decision)
     if args.qbits:
-        return DecoderKernel.quantized(
-            QFormat(args.qbits, args.scale), decision=args.decision
-        )
+        return DecoderKernel.quantized(QFormat(args.qbits, args.scale), decision=args.decision)
     return DecoderKernel.min_sum(decision=args.decision)
 
 
@@ -31,14 +29,11 @@ def _parse_snr(text):
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"--snr wants START:STOP:STEP or a single value, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError("--snr step must be positive")
-        count = int((stop - start) / step + 1e-9) + 1
-        if count < 1:
-            raise ValueError(f"empty SNR grid from {text!r}")
+        start, stop = (polar._finite(float(p), "--snr START and STOP") for p in parts[:2])
+        step = polar._finite(float(parts[2]), "--snr STEP", above=0)
+        count = int(polar._finite((stop - start) / step, "--snr step count", at_least=0) + 1e-9) + 1
         return [start + i * step for i in range(count)]
-    return [float(text)]
+    return [polar._finite(float(text), "--snr")]
 
 
 def _read_frames(path, expected, what):
@@ -123,14 +118,14 @@ def _cmd_simulate(args):
 
 
 def _cmd_pipeline(args):
-    if args.comb_tp is not None and args.comb_tp <= 0:
-        raise ValueError("--comb-tp must be positive")
-    delay = args.comb_delay if args.comb_delay is not None else args.n / args.comb_tp
+    tp = args.comb_tp
+    delay = args.comb_delay if tp is None else args.n / polar._finite(tp, "--comb-tp", above=0)
     model = PipelineTimingModel(args.n, delay, args.stages)
+    # every row is computed, and so checked, before the first is printed
+    rows = [(s, pipeline_throughput(PipelineTimingModel(args.n, delay, s))) for s in range(model.stages + 1)]
     print(f"{'stages':>6} {'period':>12} {'throughput':>14}")
-    for s in range(model.stages + 1):
-        tp = pipeline_throughput(PipelineTimingModel(args.n, delay, s))
-        print(f"{s:6d} {delay / 2**s:12.4e} {tp:14.4e}")
+    for s, bps in rows:
+        print(f"{s:6d} {delay * 0.5**s:12.4e} {bps:14.4e}")
     return 0
 
 
@@ -167,19 +162,16 @@ def _given_together(args, *flags):
 
 
 def _cmd_analyze(args):
-    for flag, value in (("--delay", args.delay), ("--freq", args.freq)):
-        if value is not None and value <= 0:
-            raise ValueError(f"{flag} must be positive")
+    delay = None if args.delay is None else polar._finite(args.delay, "--delay", above=0)
+    if args.freq is not None:
+        delay = polar._finite(1.0 / polar._finite(args.freq, "--freq", above=0), "delay 1/--freq")
     counts = hardware.complexity(args.n)
     deltas = (args.delta_c, args.delta_m, args.delta_x, args.delta_a, args.t_n)
     modeled = None
     if any(v is not None for v in deltas):
         gates = hardware.GateDelays(*(0.0 if v is None else v for v in deltas))
         modeled = hardware.delay_recursive(args.n, gates), hardware.delay_closed(args.n, gates)
-    delay = args.delay
-    if args.freq is not None:
-        delay = 1.0 / args.freq
-    elif delay is None and modeled is not None:
+    if delay is None and modeled is not None:
         delay = modeled[1]
     figures = p_dyn = None
     if measured := _given_together(args, "--power", "--area"):

@@ -1,5 +1,6 @@
 """Polar code definition: GF(2) transform, frozen-set construction, data extraction."""
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -9,6 +10,21 @@ import numpy as np
 def _require_power_of_two(n, minimum=1, noun="length"):
     if n < minimum or (n & (n - 1)) != 0:
         raise ValueError(f"{noun} must be a power of two >= {minimum}, got {n}")
+
+
+def _finite(x, noun, above=None, at_least=None):
+    """``x`` as a float, refused when NaN, +-inf, not > ``above`` or not >= ``at_least``."""
+    if not math.isfinite(x) or (above is not None and x <= above) or (at_least is not None and x < at_least):
+        bound = f" > {above}" if above is not None else "" if at_least is None else f" >= {at_least}"
+        raise ValueError(f"{noun} must be a finite number{bound}, got {x}")
+    return float(x)
+
+
+def _count(x, noun, minimum=0):
+    """``x`` as an int >= ``minimum``; a float, even a whole or NaN one, is refused."""
+    if not isinstance(x, (int, np.integer)) or x < minimum:
+        raise ValueError(f"{noun} must be an integer >= {minimum}, got {x!r}")
+    return int(x)
 
 
 def _as_bits(u, ndim=1, noun="bit vector"):

@@ -4,13 +4,13 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .code import _require_power_of_two
+from .code import _finite, _require_power_of_two
 
 
 @dataclass(frozen=True)
 class GateDelays:
     """
-    Propagation delays of the elementary blocks, in seconds.
+    Propagation delays of the elementary blocks, in seconds, each finite and >= 0.
 
     ``interconnect`` is an additive routing term applied to the closed-form
     delay only; it cannot be derived from the gate model and defaults to 0.
@@ -24,8 +24,7 @@ class GateDelays:
 
     def __post_init__(self):
         for name in ("comparator", "mux", "xor", "and_gate", "interconnect"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} delay must be nonnegative")
+            _finite(getattr(self, name), f"{name} delay", at_least=0)
 
     @property
     def meets_base_assumption(self):
@@ -108,7 +107,7 @@ def delay_recursive(n, d):
     while m <= n:
         delay = 2 * delay + d.comparator + 2 * d.mux + math.log2(m // 2) * d.xor
         m *= 2
-    return delay
+    return _finite(delay, "decoder delay")
 
 
 def delay_closed(n, d):
@@ -122,7 +121,7 @@ def delay_closed(n, d):
     _warn_if_optimistic(d)
     linear = n * (1.5 * d.mux + d.comparator + d.xor + 0.5 * d.and_gate)
     correction = d.comparator + 2 * d.mux + (math.log2(n) + 1) * d.xor
-    return linear - correction + d.interconnect
+    return _finite(linear - correction + d.interconnect, "decoder delay")
 
 
 @dataclass(frozen=True)
@@ -137,16 +136,15 @@ def metrics(n, delay_s, power_w, area_m2):
     Implementation figures of merit from measured delay, power, and area.
 
     Throughput is N/delay, energy-per-bit is power/throughput, and hardware
-    efficiency is throughput/area.
+    efficiency is throughput/area. Inputs are finite and > 0; a result that overflows is an error.
     """
-    if n <= 0 or delay_s <= 0 or power_w <= 0 or area_m2 <= 0:
-        raise ValueError("all metric inputs must be positive")
-    tp = n / delay_s
-    return Metrics(tp, power_w / tp, tp / area_m2)
+    tp = _finite(n / _finite(delay_s, "delay", above=0), "throughput", above=0)  # refuses an N <= 0 too
+    power_w, area_m2 = _finite(power_w, "power", above=0), _finite(area_m2, "area", above=0)
+    return Metrics(tp, power_w / tp, _finite(tp / area_m2, "hardware efficiency"))
 
 
 def dynamic_power(alpha, capacitance_f, v_dd, f_c_hz):
-    """Switching power alpha * C * Vdd^2 * f of a CMOS block."""
-    if min(alpha, capacitance_f, v_dd, f_c_hz) < 0:
-        raise ValueError("dynamic power inputs must be nonnegative")
-    return alpha * capacitance_f * v_dd * v_dd * f_c_hz
+    """Switching power alpha * C * Vdd^2 * f of a CMOS block, from finite inputs >= 0."""
+    for value in (alpha, capacitance_f, v_dd, f_c_hz):
+        _finite(value, "each dynamic power input", at_least=0)
+    return _finite(alpha * capacitance_f * v_dd * v_dd * f_c_hz, "dynamic power")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import _as_bits, _require_power_of_two
+from .code import _as_bits, _count, _finite, _require_power_of_two
 from .llr import QLlr
 from .vectorized import DecoderKernel, _compile, _schedule, _State, _subtrees, decode_batch
 
@@ -108,19 +108,15 @@ def semi_parallel_latency(n, p):
     logarithm is nonnegative.
     """
     _require_power_of_two(n, 4, "block length")
-    if p < 1:
-        raise ValueError(f"processing-element count must be >= 1, got {p}")
-    if p > n / 4:
-        raise ValueError(
-            f"latency model not defined for P > N/4 (got P={p}, N={n})"
-        )
+    if _count(p, "processing-element count", 1) > n / 4:
+        raise ValueError(f"latency model not defined for P > N/4 (got P={p}, N={n})")
     return 2 * n + (n / p) * math.log2(n / (4 * p))
 
 
 @dataclass(frozen=True)
 class HybridConfig:
-    """Hybrid-decoder sizing: code length, component length, synchronous PEs and
-    clock, and the component decoder's combinational delay."""
+    """Hybrid-decoder sizing: code length, component length, synchronous PEs, and
+    the finite, positive synchronous clock and component combinational delay."""
 
     n: int
     n_prime: int
@@ -132,15 +128,13 @@ class HybridConfig:
         _require_power_of_two(self.n_prime, 2, "component length")
         if self.n % self.n_prime != 0:
             raise ValueError(f"component length {self.n_prime} must divide {self.n}")
-        if self.f_c_hz <= 0 or self.comb_delay_s <= 0:
-            raise ValueError("clock frequency and combinational delay must be positive")
+        _finite(self.f_c_hz, "clock frequency", above=0)
+        _finite(self.comb_delay_s, "combinational delay", above=0)
 
     @classmethod
     def from_comb_throughput(cls, n, n_prime, p, f_c_hz, comb_tp_bps):
-        """Derive the component delay from a measured combinational throughput."""
-        if comb_tp_bps <= 0:
-            raise ValueError("combinational throughput must be positive")
-        return cls(n, n_prime, p, f_c_hz, n_prime / comb_tp_bps)
+        """Derive the component delay from a measured combinational throughput (finite, > 0)."""
+        return cls(n, n_prime, p, f_c_hz, n_prime / _finite(comb_tp_bps, "combinational throughput", above=0))
 
 
 @dataclass(frozen=True)
@@ -159,12 +153,12 @@ def latency_gain(cfg):
     The synchronous decoder would spend 2N'-2 cycles per component; the
     component decoder replaces those with ceil(D_N' * f_c) wait cycles, saving
     reduction_cycles per repetition. The gain divides the full synchronous
-    latency by what remains after N/N' repetitions of that saving.
+    latency by what remains after N/N' repetitions of that saving; an overflow is an error.
     """
     l_full = semi_parallel_latency(cfg.n, cfg.p)
-    wait = math.ceil(cfg.comb_delay_s * cfg.f_c_hz)
+    wait = math.ceil(_finite(cfg.comb_delay_s * cfg.f_c_hz, "component wait in cycles"))
     reduction = (2 * cfg.n_prime - 2) - wait
-    # what remains, (N/P)*log2(N/(4P)) + (N/N')*(2 + wait), is positive since P <= N/4
-    gain = l_full / (l_full - (cfg.n // cfg.n_prime) * reduction)
-    tp_sync = cfg.f_c_hz * cfg.n / l_full
-    return HybridReport(l_full, reduction, gain, tp_sync, gain * tp_sync)
+    # what remains, (N/P)*log2(N/(4P)) + (N/N')*(2 + wait), is > 0 since P <= N/4; in floats it can reach inf
+    gain = _finite(l_full / (l_full - cfg.n // cfg.n_prime * float(reduction)), "latency gain", above=0)
+    tp_sync = _finite(cfg.f_c_hz * cfg.n / l_full, "synchronous throughput")
+    return HybridReport(l_full, reduction, gain, tp_sync, _finite(gain * tp_sync, "hybrid throughput"))

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .code import _count, _finite
+
 
 def sign_bit(llr):
     """Hard-decision bit of an LLR: 0 for llr >= 0, 1 otherwise."""
@@ -95,16 +97,15 @@ class QFormat:
     Sign-magnitude fixed-point format: total width in bits and an input scale.
 
     ``bits`` includes the sign, so magnitudes span [0, 2**(bits-1) - 1].
-    ``scale`` multiplies channel LLRs before rounding.
+    ``scale``, a finite number > 0, multiplies channel LLRs before rounding.
     """
 
     bits: int
     scale: float = 1.0
 
     def __post_init__(self):
-        _max_magnitude(self.bits)
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        _max_magnitude(_count(self.bits, "word width"))
+        _finite(self.scale, "scale", above=0)
 
     @property
     def max_magnitude(self):

@@ -5,7 +5,7 @@ from typing import Optional
 
 import numpy as np
 
-from .code import _require_power_of_two
+from .code import _count, _finite, _require_power_of_two
 from .vectorized import DecoderKernel, _compile, _State, _subtrees
 
 
@@ -50,17 +50,15 @@ class PipelinedDecoder:
     def __init__(self, mask, stages=1, kernel=None):
         n = len(mask)
         _require_power_of_two(n, 4, "mask length")
-        if stages < 0:
-            raise ValueError(f"stage count must be >= 0, got {stages}")
+        self.stages = _count(stages, "stage count")
         ops = _compile(mask, n)
         self.n = n
-        self.stages = stages
         self.kernel = kernel if kernel is not None else DecoderKernel.min_sum()
         # the first half decodes the root's first child; an all-frozen mask
         # compiles to one zero step, which the first half runs
         cut = next((stop for _, _, stop in _subtrees(ops, n // 2)), len(ops))
         self._halves = ops[:cut], ops[cut:]
-        self.banks: list[Optional[StageRegisters]] = [None] * stages
+        self.banks: list[Optional[StageRegisters]] = [None] * self.stages
         self._out_reg: Optional[np.ndarray] = None
         self.cycle = 0
 
@@ -115,8 +113,8 @@ class PipelinedDecoder:
 
 @dataclass(frozen=True)
 class PipelineTimingModel:
-    """Throughput model inputs: block length, unpipelined combinational delay,
-    and the number of pipeline stages."""
+    """Throughput model inputs: block length, unpipelined combinational delay
+    (a finite number > 0), and the number of pipeline stages."""
 
     n: int
     base_delay_s: float
@@ -124,10 +122,8 @@ class PipelineTimingModel:
 
     def __post_init__(self):
         _require_power_of_two(self.n, 4, "block length")
-        if self.base_delay_s <= 0:
-            raise ValueError("base combinational delay must be positive")
-        if self.stages < 0:
-            raise ValueError("stage count must be >= 0")
+        _finite(self.base_delay_s, "base combinational delay", above=0)
+        _count(self.stages, "stage count")
 
 
 def pipeline_throughput(model):
@@ -136,6 +132,9 @@ def pipeline_throughput(model):
 
     Assumes every added stage halves the critical path, the idealization that
     measured single-stage gains of 1.97-2.23 validate with tolerance. S=0
-    reduces to the combinational throughput N/D_N.
+    reduces to the combinational throughput N/D_N; an overflow is an error.
     """
-    return model.n * (2**model.stages) / model.base_delay_s
+    try:  # 2.0**S raises past the float range; N / D itself may be inf
+        return _finite(model.n / model.base_delay_s * 2.0**model.stages, "pipeline throughput")
+    except OverflowError:
+        raise ValueError(f"pipeline throughput overflows at {model.stages} stages") from None

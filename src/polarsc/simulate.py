@@ -8,7 +8,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .code import CodeSpec
+from .code import CodeSpec, _count, _finite
 from .vectorized import DecoderKernel, decode_batch, encode_batch, quantize_batch
 
 CSV_HEADER = "snr_db,trials,frame_errors,bit_errors,fer,ber,ci95"
@@ -16,7 +16,7 @@ CSV_HEADER = "snr_db,trials,frame_errors,bit_errors,fer,ber,ci95"
 
 @dataclass(frozen=True)
 class AwgnChannel:
-    """Binary-input AWGN channel at a given Eb/N0, for unit-energy BPSK."""
+    """Binary-input AWGN channel for unit-energy BPSK, at a finite Eb/N0 with a finite noise variance > 0."""
 
     ebn0_db: float
     rate: float
@@ -24,6 +24,10 @@ class AwgnChannel:
     def __post_init__(self):
         if not 0 < self.rate <= 1:
             raise ValueError(f"rate must be in (0, 1], got {self.rate}")
+        try:  # 10**(Eb/N0 / 10) overflows, or underflows to a zero divisor
+            _finite(self.noise_variance, f"noise variance at {self.ebn0_db} dB", above=0)
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"noise variance at {self.ebn0_db} dB is beyond the float range") from None
 
     @property
     def noise_variance(self):
@@ -66,12 +70,8 @@ class SimConfig:
     chunk_trials: int = 2048
 
     def __post_init__(self):
-        if self.max_trials < 1:
-            raise ValueError("max_trials must be >= 1")
-        if self.min_frame_errors < 1:
-            raise ValueError("min_frame_errors must be >= 1")
-        if self.chunk_trials < 1:
-            raise ValueError("chunk_trials must be >= 1")
+        for name in ("max_trials", "min_frame_errors", "chunk_trials"):
+            _count(getattr(self, name), name, 1)
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
 
 

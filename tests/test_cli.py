@@ -209,6 +209,14 @@ class TestEncodeDecodePipe:
         assert out == ""
         assert err.startswith("polarsc: error:")
 
+    def test_infinite_scale_fails(self, tmp_path, mask_file, capsys):
+        llr_in = tmp_path / "llrs.txt"
+        llr_in.write_text(" ".join(["1.0"] * 16) + "\n")
+        argv = ["decode", "--mask", str(mask_file), "--in", str(llr_in), "--qbits", "5", "--scale", "inf"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("polarsc: error: scale")
+
     def test_exact_and_qbits_conflict(self, tmp_path, mask_file, capsys):
         llr_in = tmp_path / "llrs.txt"
         llr_in.write_text(" ".join(["1.0"] * 16) + "\n")
@@ -278,11 +286,23 @@ class TestSimulate:
         )
         assert code != 0 and "snr" in err.lower()
 
-    @pytest.mark.parametrize("snr", ["1:2:0", "1:2:-1", "3:1:1"])
+    @pytest.mark.parametrize("snr", ["1:2:0", "1:2:-1", "3:1:1", "1:inf:1", "1:2:nan"])
     def test_snr_grid_without_points_fails(self, mask_file, capsys, snr):
         code, out, err = run_cli(["simulate", "--mask", str(mask_file), "--snr", snr], capsys)
         assert code == 1 and out == ""
         assert "snr" in err.lower()
+
+    def test_negative_snr_point(self, mask_file, capsys):
+        argv = ["simulate", "--mask", str(mask_file), "--snr", "-5", "--max-trials", "64", "--min-errors", "1"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out.splitlines()[1].startswith("  -5.00 ")
+
+    @pytest.mark.parametrize("snr", ["4000", "-4000"])
+    def test_snr_without_a_finite_noise_variance_fails(self, mask_file, capsys, snr):
+        code, out, err = run_cli(["simulate", "--mask", str(mask_file), "--snr", snr], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("polarsc: error: noise variance")
 
     def test_exact_kernel(self, tmp_path, mask_file, capsys):
         out_csv = tmp_path / "fer.csv"
@@ -428,6 +448,18 @@ class TestModels:
             ["analyze", "--n", "64", "--power", "0.1", "--area", "1e-6"],
             ["analyze", "--n", "64", "--delta-c", "0", "--power", "0.1", "--area", "1e-6"],
             ["analyze", "--n", "4", "--delta-c", "1e-10", "--delay", "1e-7"],
+            ["analyze", "--n", "64", "--delay", "nan", "--power", "0.1", "--area", "1e-6"],
+            ["analyze", "--n", "64", "--delta-c", "nan"],
+            ["analyze", "--n", "64", "--alpha", "nan", "--cap", "1", "--vdd", "1", "--switch-freq", "1"],
+            ["analyze", "--n", "64", "--freq", "inf"],
+            ["analyze", "--n", "1024", "--delay", "1e-320", "--power", "1", "--area", "1"],
+            ["pipeline", "--n", "1024", "--comb-delay", "nan"],
+            ["pipeline", "--n", "1024", "--comb-delay", "1e-320"],
+            ["pipeline", "--n", "1024", "--comb-delay", "4e-7", "--stages", "2000"],
+            ["hybrid", "--n", "1024", "--nprime", "16", "--p", "64", "--fc", "1e10", "--comb-delay", "1e308"],
+            ["hybrid", "--n", "1024", "--nprime", "16", "--p", "64", "--fc", "1e10", "--comb-delay", "1e300"],
+            ["hybrid", "--n", "1024", "--nprime", "16", "--p", "64", "--fc", "1e10", "--comb-delay", "1e297"],
+            ["hybrid", "--n", "1024", "--nprime", "16", "--p", "64", "--fc", "1e306", "--comb-tp", "1.05e9"],
         ],
         ids=" ".join,
     )

@@ -150,6 +150,21 @@ class TestDelayModel:
         with pytest.raises(ValueError):
             GateDelays(-1.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", range(5))
+    def test_rejects_non_finite_delay(self, field, bad):
+        values = [0.0] * 5
+        values[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GateDelays(*values)
+
+    def test_delay_beyond_float_range_fails(self):
+        d = GateDelays(1e307, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            delay_recursive(64, d)
+        with pytest.raises(ValueError, match="finite"):
+            delay_closed(64, d)
+
 
 class TestMetrics:
     def test_largest_block_column(self):
@@ -177,6 +192,21 @@ class TestMetrics:
         with pytest.raises(ValueError):
             metrics(1024, 1.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (np.nan, 1.0, 1.0, 1.0),
+            (1024, np.nan, 1.0, 1.0),
+            (1024, 1.0, np.inf, 1.0),
+            (1024, 1.0, 1.0, np.nan),
+            (1024, 1e-320, 1.0, 1.0),  # throughput overflows
+            (1024, 1.0, 1.0, 1e-320),  # efficiency overflows
+        ],
+    )
+    def test_rejects_non_finite_inputs_and_results(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            metrics(*args)
+
 
 class TestDynamicPower:
     def test_unit_inputs(self):
@@ -193,3 +223,14 @@ class TestDynamicPower:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             dynamic_power(-0.1, 1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(np.nan, -1, 1, 1), (1, np.inf, 1, 1), (1, 1, np.nan, 1), (1, 1, 1, np.inf), (1e300, 1e300, 1, 1)],
+    )
+    def test_rejects_non_finite(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            dynamic_power(*args)
+
+    def test_zero_input_gives_zero(self):
+        assert dynamic_power(0, 2e-9, 1.3, 2.5e6) == 0

@@ -129,6 +129,11 @@ class TestSemiParallelLatency:
         with pytest.raises(ValueError):
             semi_parallel_latency(1024, 0)
 
+    @pytest.mark.parametrize("p", [np.nan, 1.5])
+    def test_rejects_non_integer_pe_count(self, p):
+        with pytest.raises(ValueError, match="processing-element count"):
+            semi_parallel_latency(1024, p)
+
 
 class TestLatencyGain:
     @pytest.mark.parametrize("n,p,fc,nprime,tp,gain_pub,tp_pub", REFERENCE_ROWS)
@@ -181,6 +186,24 @@ class TestLatencyGain:
         for tp in (0.0, -1.05e9):
             with pytest.raises(ValueError):
                 HybridConfig.from_comb_throughput(1024, 16, 64, 1e8, tp)
+
+    @pytest.mark.parametrize("f_c, delay", [(np.nan, 1e-8), (np.inf, 1e-8), (1e8, np.nan), (1e8, np.inf)])
+    def test_rejects_non_finite_config(self, f_c, delay):
+        with pytest.raises(ValueError, match="finite"):
+            HybridConfig(1024, 16, 64, f_c, delay)
+
+    @pytest.mark.parametrize("tp", [np.nan, 1e-320])
+    def test_rejects_throughput_without_a_finite_delay(self, tp):
+        with pytest.raises(ValueError, match="finite"):
+            HybridConfig.from_comb_throughput(1024, 16, 64, 1e8, tp)
+
+    @pytest.mark.parametrize(
+        "f_c, delay",
+        [(1e10, 1e308), (1e10, 1e300), (1e10, 1e297), (1e306, 16 / 1.05e9)],
+    )
+    def test_overflow_is_a_value_error(self, f_c, delay):
+        with pytest.raises(ValueError, match="finite"):
+            latency_gain(HybridConfig(1024, 16, 64, f_c, delay))
 
 
 def test_component_inputs_checks_a_trailing_partial_component():

@@ -179,6 +179,11 @@ class TestQFormat:
         with pytest.raises(ValueError):
             QFormat(5, 0.0)
 
+    @pytest.mark.parametrize("bits, scale", [(5, math.inf), (math.nan, 1.0), (5.0, 1.0)])
+    def test_rejects_infinite_scale_and_non_integer_width(self, bits, scale):
+        with pytest.raises(ValueError):
+            QFormat(bits, scale)
+
 
 class TestQLlr:
     def test_rejects_denormalized_zero(self):

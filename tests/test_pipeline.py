@@ -174,6 +174,11 @@ class TestStateInvariants:
         with pytest.raises(ValueError):
             pipe.step([1.0, 2.0])
 
+    @pytest.mark.parametrize("stages", [np.nan, 1.5])
+    def test_rejects_non_integer_stages(self, stages):
+        with pytest.raises(ValueError, match="stage count"):
+            PipelinedDecoder(construct_frozen_mask(8, 4), stages=stages)
+
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             PipelinedDecoder(construct_frozen_mask(8, 4), stages=-1)
@@ -216,3 +221,13 @@ class TestThroughputModel:
             PipelineTimingModel(16, 0.0, 1)
         with pytest.raises(ValueError):
             PipelineTimingModel(16, 1e-9, -1)
+
+    @pytest.mark.parametrize("delay, stages", [(np.nan, 1), (np.inf, 1), (4e-7, np.nan), (4e-7, 1.5)])
+    def test_rejects_non_finite_delay_and_fractional_stages(self, delay, stages):
+        with pytest.raises(ValueError):
+            PipelineTimingModel(1024, delay, stages)
+
+    @pytest.mark.parametrize("delay, stages", [(1e-320, 0), (4e-7, 1014), (4e-7, 2000)])
+    def test_throughput_beyond_float_range_fails(self, delay, stages):
+        with pytest.raises(ValueError, match="pipeline throughput"):
+            pipeline_throughput(PipelineTimingModel(1024, delay, stages))

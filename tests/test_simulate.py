@@ -51,6 +51,11 @@ class TestChannel:
         with pytest.raises(ValueError):
             AwgnChannel(1.0, 0.0)
 
+    @pytest.mark.parametrize("ebn0_db", [np.nan, np.inf, -np.inf, 4000.0, -4000.0])
+    def test_rejects_eb_n0_without_a_finite_positive_variance(self, ebn0_db):
+        with pytest.raises(ValueError, match="noise variance"):
+            AwgnChannel(ebn0_db, 0.5)
+
     def test_observations_have_unit_signal(self):
         rng = np.random.default_rng(1)
         chan = AwgnChannel(100.0, 1.0)
@@ -174,3 +179,11 @@ class TestSweepAndCsv:
             small_config(min_frame_errors=0)
         with pytest.raises(ValueError):
             small_config(chunk_trials=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_trials", np.nan), ("max_trials", 1.5), ("min_frame_errors", np.nan), ("chunk_trials", 2.0)],
+    )
+    def test_config_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value})
