@@ -13,8 +13,12 @@ def _require_power_of_two(n, minimum=1, noun="length"):
 
 
 def _finite(x, noun, above=None, at_least=None):
-    """``x`` as a float, refused when NaN, +-inf, not > ``above`` or not >= ``at_least``."""
-    if not math.isfinite(x) or (above is not None and x <= above) or (at_least is not None and x < at_least):
+    """``x`` as a float, refused when NaN, +-inf, beyond the float range, not > ``above`` or not >= ``at_least``."""
+    try:
+        finite = math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite or (above is not None and x <= above) or (at_least is not None and x < at_least):
         bound = f" > {above}" if above is not None else "" if at_least is None else f" >= {at_least}"
         raise ValueError(f"{noun} must be a finite number{bound}, got {x}")
     return float(x)

@@ -108,9 +108,10 @@ def semi_parallel_latency(n, p):
     logarithm is nonnegative.
     """
     _require_power_of_two(n, 4, "block length")
-    if _count(p, "processing-element count", 1) > n / 4:
+    nf = _finite(n, "block length")  # so that no int-to-float conversion below can overflow
+    if _count(p, "processing-element count", 1) > nf / 4:
         raise ValueError(f"latency model not defined for P > N/4 (got P={p}, N={n})")
-    return 2 * n + (n / p) * math.log2(n / (4 * p))
+    return _finite(2 * nf + (nf / p) * math.log2(nf / (4 * p)), "semi-parallel latency")
 
 
 @dataclass(frozen=True)

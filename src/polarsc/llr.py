@@ -153,8 +153,9 @@ def quantize(llr, fmt):
     """
     if not math.isfinite(llr):
         raise ValueError(f"LLR must be finite, got {llr}")
-    mag = int(math.floor(abs(llr) * fmt.scale + 0.5))
-    mag = min(mag, fmt.max_magnitude)
+    scaled = abs(llr) * fmt.scale + 0.5
+    # an exact comparison, which also saturates a product that overflowed to inf
+    mag = fmt.max_magnitude if scaled >= fmt.max_magnitude else math.floor(scaled)
     return QLlr(0 if mag == 0 else sign_bit(llr), mag, fmt.bits)
 
 

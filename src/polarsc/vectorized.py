@@ -8,7 +8,9 @@ halves as contiguous row ranges, and each node hands its re-encoded bits up
 as +/-1 multipliers, so the variable-node update is one multiply and one add.
 A fully frozen subtree is one step that sets its multipliers to +1, and
 quantized words are carried in the narrowest integer type that holds a g sum
-(int8 up to 7-bit words).
+(int8 up to 7-bit words). A block holds the LLR bytes of ``BLOCK_FRAMES``
+float frames, so narrower words decode more frames per numpy call, and it is
+filled and emptied ``_TILE`` frames at a time.
 
 This module alone knows the schedule's steps and the buffer layout, and
 ``_State.run`` alone interprets them; a leaf reads a frozen decision as the
@@ -30,9 +32,16 @@ import numpy as np
 from .code import _as_bits, _bit_reversal, _polar_transform, _require_power_of_two
 from .llr import QFormat, QLlr
 
-# Frames decoded together. The buffers take 29 bytes per frame and position for
-# float LLRs, so this bounds the working set of a large batch (about 30 MB at N=1024).
+# Float frames decoded together. A block of words holds as many bytes of LLRs,
+# 8192 int8 or 4096 int16 frames, so numpy's cost per call is spread over more
+# frames of a narrower word. The buffers take 29 bytes per frame and position for
+# floats and 4.5 for int8 words, so this bounds the working set of a large batch
+# (about 30 MB at N=1024 for floats, 38 MB for int8 words).
 BLOCK_FRAMES = 1024
+
+# Frames copied into or out of a block at a time: a (_TILE, N) slice stays in
+# cache while it is transposed, where a whole block's transpose does not.
+_TILE = 64
 
 _F, _G, _COMBINE, _LEAF, _ZERO = range(5)
 
@@ -98,7 +107,8 @@ def _floats(llrs):
 def quantize_batch(llrs, fmt):
     """Quantize float LLRs to signed integer words (sign-magnitude semantics)."""
     llrs = _floats(llrs)
-    mag = np.floor(np.abs(llrs) * fmt.scale + 0.5)
+    with np.errstate(over="ignore"):  # a product that overflows to inf saturates below
+        mag = np.floor(np.abs(llrs) * fmt.scale + 0.5)
     if fmt.bits <= 32:
         mag = np.minimum(mag, fmt.max_magnitude).astype(np.int32)
     else:
@@ -239,8 +249,9 @@ def _as_row(llrs, kernel):
 
 class _State:
     """
-    The buffers of up to ``width`` frames of length ``n`` and the kernel's
-    arithmetic; :meth:`run` interprets any contiguous slice of a schedule.
+    The buffers of up to ``width`` frames of length ``n`` (a block, or fewer
+    when the batch has fewer ``frames``) and the kernel's arithmetic;
+    :meth:`run` interprets any contiguous slice of a schedule.
 
     Rows [m, 2m) of the level buffer ``llr`` hold the LLRs of the current
     length-m node, so the channel LLRs stay in rows [n, 2n). ``mult`` holds
@@ -249,7 +260,7 @@ class _State:
     and take one row per loaded frame, in natural order.
     """
 
-    def __init__(self, kernel, n, width):
+    def __init__(self, kernel, n, frames):
         if kernel.arithmetic == "quantized":
             dtype, self.f = _word_dtype(kernel.qformat.max_magnitude), _f_words
             # a bound in the word type spares np.clip an np.iinfo per call
@@ -259,10 +270,13 @@ class _State:
             self.f = _f_minsum if kernel.arithmetic == "minsum" else _f_exact
         self.shortcut = kernel.decision == "shortcut"
         self.n = n
-        self.llr = np.empty((2 * n, width), dtype=dtype)
-        self.mult = np.empty((n, width), dtype=dtype)
-        self.scratch = np.empty((n // 2, width), dtype=dtype)
-        self.u = np.empty((n, width), dtype=bool)
+        # the LLR bytes of a float block; at least one frame, since
+        # decode_batch steps through a batch, even an empty one, by this width
+        self.width = width = max(1, min(frames, BLOCK_FRAMES * 8 // np.dtype(dtype).itemsize))
+        rows = ((2 * n, dtype), (n, dtype), (n // 2, dtype), (n, bool))
+        self.storage = [np.empty((r, width), dtype=t) for r, t in rows]
+        self.llr, self.mult, self.scratch, self.u = self.storage
+        self.frames = width
         self.flag = np.empty(width, dtype=bool)
         self.signs = np.array([1, -1], dtype=dtype)  # decision bit -> multiplier
 
@@ -276,12 +290,20 @@ class _State:
 
     def load(self, block):
         """Bit-reverse a checked (frames, n) block into the level buffer and clear ``u``."""
-        self.frames, n = block.shape
-        llr = self.llr[:, : self.frames]
+        k, n = block.shape
+        if k != self.frames:
+            # a block of another width runs on the start of each buffer, so
+            # that its rows are contiguous too and no numpy call copies them
+            self.frames = k
+            self.llr, self.mult, self.scratch, self.u = (
+                a.ravel()[: len(a) * k].reshape(-1, k) for a in self.storage
+            )
         # transpose into the free lower levels, then gather the bit-reversed rows
-        llr[:n] = block.T
-        np.take(llr[:n], _bit_reversal(n), axis=0, out=llr[n:], mode="wrap")
-        self.u[:, : self.frames].fill(False)
+        lower = self.llr[:n]
+        for i in range(0, k, _TILE):
+            lower[:, i : i + _TILE] = block[i : i + _TILE].T
+        np.take(lower, _bit_reversal(n), axis=0, out=self.llr[n:], mode="wrap")
+        self.u.fill(False)
 
     def run(self, ops):
         """
@@ -290,9 +312,8 @@ class _State:
         +1. Rows [0, h) of ``llr`` belong to finished subtrees when a node of
         length 2h runs, so they serve as f's second scratch buffer.
         """
-        k = self.frames
-        llr, mult, u, scratch = self.llr[:, :k], self.mult[:, :k], self.u[:, :k], self.scratch[:, :k]
-        f, clip, shortcut, signs, flag = self.f, self.clip, self.shortcut, self.signs, self.flag[:k]
+        llr, mult, u, scratch = self.llr, self.mult, self.u, self.scratch
+        f, clip, shortcut, signs, flag = self.f, self.clip, self.shortcut, self.signs, self.flag[: self.frames]
         a, b = llr[2], llr[3]
         fv, x, y = llr[1], scratch[0], llr[0]
         for op in ops:
@@ -330,23 +351,28 @@ class _State:
 
     def node_llrs(self, m):
         """The input LLRs of the running length-m node, (frames, m)."""
-        return self.llr[m : 2 * m, : self.frames][_bit_reversal(m)].T
+        return self.llr[m : 2 * m][_bit_reversal(m)].T
 
     def node_bits(self, off, m):
         """The re-encoded bits of the finished length-m node at ``off``, (frames, m)."""
-        return (self.mult[off : off + m, : self.frames] < 0)[_bit_reversal(m)].T.astype(np.uint8)
+        return (self.mult[off : off + m] < 0)[_bit_reversal(m)].T.astype(np.uint8)
 
     def decide(self, off, bits):
         """Write a (frames, m) bit matrix as the decisions of the length-m node at ``off``."""
         bits = _as_bits(bits, 2, "bit matrix")
         m = bits.shape[1]
         enc = _polar_transform(bits)
-        self.mult[off : off + m, : self.frames] = np.where(enc[:, _bit_reversal(m)].T, -1, 1)
-        self.u[off : off + m, : self.frames] = bits.T
+        self.mult[off : off + m] = np.where(enc[:, _bit_reversal(m)].T, -1, 1)
+        self.u[off : off + m] = bits.T
 
-    def decisions(self):
-        """The decisions of the loaded frames, (frames, n) bits."""
-        return self.u[:, : self.frames].T.astype(np.uint8)
+    def decisions(self, out=None):
+        """The decisions of the loaded frames as (frames, n) bits, written into ``out`` if given."""
+        if out is None:
+            out = np.empty((self.frames, self.n), dtype=np.uint8)
+        for i in range(0, self.frames, _TILE):
+            # compact the tile first: its transpose then reads cached rows
+            out[i : i + _TILE] = np.ascontiguousarray(self.u[:, i : i + _TILE]).T
+        return out
 
 
 def decode_batch(llrs, mask, kernel=None):
@@ -374,11 +400,11 @@ def decode_batch(llrs, mask, kernel=None):
     llrs = _checked(llrs, kernel)
     ops = _compile(mask, llrs.shape[1])
     out = np.empty(llrs.shape, dtype=np.uint8)
-    state = _State(kernel, llrs.shape[1], min(len(llrs), BLOCK_FRAMES))
-    for start in range(0, len(llrs), BLOCK_FRAMES):
-        state.load(llrs[start : start + BLOCK_FRAMES])
+    state = _State(kernel, llrs.shape[1], len(llrs))
+    for start in range(0, len(llrs), state.width):
+        state.load(llrs[start : start + state.width])
         state.run(ops)
-        out[start : start + state.frames] = state.u[:, : state.frames].T
+        state.decisions(out[start : start + state.frames])
     return out
 
 

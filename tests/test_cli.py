@@ -460,6 +460,7 @@ class TestModels:
             ["hybrid", "--n", "1024", "--nprime", "16", "--p", "64", "--fc", "1e10", "--comb-delay", "1e300"],
             ["hybrid", "--n", "1024", "--nprime", "16", "--p", "64", "--fc", "1e10", "--comb-delay", "1e297"],
             ["hybrid", "--n", "1024", "--nprime", "16", "--p", "64", "--fc", "1e306", "--comb-tp", "1.05e9"],
+            ["hybrid", "--n", str(2**1100), "--nprime", "16", "--p", "64", "--fc", "1e8"],
         ],
         ids=" ".join,
     )

@@ -129,6 +129,11 @@ class TestSemiParallelLatency:
         with pytest.raises(ValueError):
             semi_parallel_latency(1024, 0)
 
+    @pytest.mark.parametrize("n", [2**1022, 2**1100], ids=["latency-overflows", "length-overflows"])
+    def test_block_length_past_the_float_range_is_an_error(self, n):
+        with pytest.raises(ValueError):
+            semi_parallel_latency(n, 64)
+
     @pytest.mark.parametrize("p", [np.nan, 1.5])
     def test_rejects_non_integer_pe_count(self, p):
         with pytest.raises(ValueError, match="processing-element count"):

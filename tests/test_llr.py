@@ -149,6 +149,13 @@ class TestQuantize:
     def test_saturates(self):
         assert quantize(-100.0, QFormat(5, 1)) == QLlr(1, 15, 5)
 
+    @pytest.mark.parametrize("bits", [5, 64])
+    def test_saturates_a_scaled_value_past_the_float_range(self, bits):
+        # 10 * 1e308 overflows to inf
+        fmt = QFormat(bits, 1e308)
+        assert quantize(10.0, fmt) == QLlr(0, fmt.max_magnitude, bits)
+        assert quantize(-10.0, fmt) == QLlr(1, fmt.max_magnitude, bits)
+
     def test_scale_then_round(self):
         assert quantize(3.4, QFormat(5, 2)) == QLlr(0, 7, 5)
 

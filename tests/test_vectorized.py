@@ -1,6 +1,8 @@
 """Bit-exactness of the batched kernels against the scalar references."""
 
 import itertools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,17 +29,25 @@ from polarsc import (
 )
 from polarsc.vectorized import (
     _F,
+    _TILE,
     _ZERO,
     BLOCK_FRAMES,
     _compile,
     _f_exact,
     _f_minsum,
     _schedule,
+    _State,
     _subtrees,
 )
 from test_decoder import reference_decode
 
 Q5 = QFormat(5)
+# a kernel of each word type, and the frames of its block: the LLR bytes of a float block
+WORD_BLOCKS = {
+    "float": (DecoderKernel.min_sum(), BLOCK_FRAMES),
+    "int8": (DecoderKernel.quantized(Q5, "plain"), 8 * BLOCK_FRAMES),
+    "int16": (DecoderKernel.quantized(QFormat(8), "plain"), 4 * BLOCK_FRAMES),
+}
 
 
 class TestEncodeBatch:
@@ -107,6 +117,16 @@ class TestQuantizeBatch:
         batch = quantize_batch(values, fmt)
         for i, v in enumerate(values):
             assert batch[i] == quantize(float(v), fmt).value, v
+
+    @pytest.mark.parametrize("bits", [5, 40, 64])
+    def test_saturates_a_scaled_value_past_the_float_range_silently(self, bits):
+        fmt = QFormat(bits, 1e308)
+        values = np.array([10.0, -10.0, 1e-308, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = quantize_batch(values, fmt)
+        assert batch.tolist() == [quantize(float(v), fmt).value for v in values]
+        assert batch[0] == fmt.max_magnitude
 
     def test_decode_batch_round_trip_at_40_bits(self):
         fmt = QFormat(40)
@@ -286,14 +306,27 @@ class TestScheduleEquivalence:
         extremes = rng.choice([-m, -1, 0, 1, m], (16, 32))
         _assert_rows_match_scalar(np.vstack([uniform, extremes]), mask, kernel)
 
-    @pytest.mark.parametrize("frames", [0, 1, BLOCK_FRAMES - 1, BLOCK_FRAMES + 1])
-    def test_frame_counts_around_the_block(self, frames):
+    @pytest.mark.parametrize(
+        "word,frames",
+        [(word, k) for word, (_, width) in WORD_BLOCKS.items() for k in (0, 1, width - 1, width + 1, width + _TILE + 3)],
+    )
+    def test_frame_counts_around_the_block(self, word, frames):
+        # rows are drawn from a pool that is checked against the reference, so
+        # that the reference decodes each distinct row once
+        kernel, _ = WORD_BLOCKS[word]
         rng = np.random.default_rng(frames)
         mask = np.array([0, 0, 1, 1, 0, 1, 1, 1], dtype=np.uint8)
-        llrs = rng.normal(scale=2.0, size=(frames, 8))
-        _assert_rows_match_scalar(llrs, mask, DecoderKernel.min_sum())
-        words = quantize_batch(llrs, Q5)
-        _assert_rows_match_scalar(words, mask, DecoderKernel.quantized(Q5, "plain"))
+        if kernel.qformat is None:
+            spread = rng.normal(scale=2.0, size=(200, 8))
+        else:
+            m = kernel.qformat.max_magnitude
+            spread = rng.integers(-m, m + 1, (200, 8))
+        pool = np.vstack([spread, rng.integers(-2, 3, (57, 8))])
+        _assert_rows_match_scalar(pool, mask, kernel)
+        pick = rng.integers(0, len(pool), frames)
+        batch = decode_batch(pool[pick], mask, kernel)
+        assert batch.shape == (frames, 8) and batch.dtype == np.uint8 and batch.flags.c_contiguous
+        assert np.array_equal(batch, decode_batch(pool, mask, kernel)[pick])
 
     @pytest.mark.parametrize("kernel", KERNELS + [DecoderKernel.quantized(Q5)], ids=str)
     def test_all_frozen_and_all_data_masks(self, kernel):
@@ -305,6 +338,32 @@ class TestScheduleEquivalence:
         assert not decode_batch(llrs, frozen, kernel).any()
         _assert_rows_match_scalar(llrs, frozen, kernel)
         _assert_rows_match_scalar(llrs, np.ones(64, dtype=np.uint8), kernel)
+
+
+def test_a_block_holds_the_llr_bytes_of_a_float_block():
+    for kernel, width in WORD_BLOCKS.values():
+        assert _State(kernel, 8, 10**6).width == width
+    assert _State(DecoderKernel.quantized(Q5), 8, 3).width == 3
+    assert _State(DecoderKernel.min_sum(), 8, 0).width == 1
+
+
+def test_a_partial_block_allocates_no_block_sized_temporary():
+    # the second block holds 989 of 1024 frames; a copy of its channel LLRs
+    # would take 8 * n * 989 bytes more than two full blocks take
+    n = 256
+    llrs = np.random.default_rng(989).normal(scale=2.0, size=(2 * BLOCK_FRAMES, n))
+    mask = construct_frozen_mask(n, n // 2)
+    decode_batch(llrs[:1], mask)  # compile the schedule outside the traced calls
+
+    def peak(frames):
+        tracemalloc.start()
+        try:
+            decode_batch(llrs[:frames], mask)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2 * BLOCK_FRAMES - 35) <= peak(2 * BLOCK_FRAMES) + 8 * n * _TILE
 
 
 # signed zeros, subnormals, and products that underflow to a signed zero
