@@ -15,33 +15,30 @@ from .vectorized import DecoderKernel, _compile, _schedule, _State, _subtrees, d
 DEFAULT_COMB_THROUGHPUT_BPS = {16: 1.05e9, 32: 0.88e9, 64: 0.85e9}
 
 
-class _FrontEnd:
+def _component_length(n_prime, n):
+    """``n_prime`` as an int, refused unless it is a power of two >= 2 that divides the code length ``n``."""
+    n_prime = _count(n_prime, "component length", 2)
+    _require_power_of_two(n_prime, 2, "component length")
+    if n % n_prime != 0:
+        raise ValueError(f"component length {n_prime} must divide {n}")
+    return n_prime
+
+
+def _components(state, n_prime):
     """
-    The synchronous front end: the full tree's schedule, run on one frame,
-    with every length-N' subtree cut out.
-
-    Iterating runs the schedule up to each component in turn and yields the
-    component's offset and input LLRs (a one-row matrix); the caller writes
-    its N' decisions with ``state.decide`` before the walk goes on.
+    The synchronous front end: the full tree's schedule run on a state its
+    caller loaded, of any width, up to each length-N' subtree in turn. It
+    yields the subtree's offset and input LLRs, one row per frame; the caller
+    writes its N' decisions with ``state.decide`` before the walk goes on.
     """
-
-    def __init__(self, llrs, n_prime, kernel):
-        self.state = _State.one_frame(llrs, kernel)
-        n = self.state.n
-        # a divisor >= 2 of a power of two is one
-        if n_prime < 2 or n % n_prime != 0:
-            raise ValueError(f"component length {n_prime} must be a power of two dividing {n}")
-        self.n_prime = n_prime
-        # it runs no leaf, and every component needs its input LLRs, so it
-        # walks the unpruned tree: the schedule of the all-data mask
-        self.ops = _schedule(b"\x01" * n)
-
-    def __iter__(self):
-        pos = 0
-        for off, start, stop in _subtrees(self.ops, self.n_prime):
-            self.state.run(self.ops[pos:start])
-            yield off, self.state.node_llrs(self.n_prime)
-            pos = stop
+    # it runs no leaf, and every component needs its input LLRs, so it
+    # walks the unpruned tree: the schedule of the all-data mask
+    ops = _schedule(b"\x01" * state.n)
+    pos = 0
+    for off, start, stop in _subtrees(ops, n_prime):
+        state.run(ops[pos:start])
+        yield off, state.node_llrs(n_prime)
+        pos = stop
 
 
 def component_inputs(llrs, decided, n_prime, kernel=None):
@@ -57,16 +54,17 @@ def component_inputs(llrs, decided, n_prime, kernel=None):
     if kernel is None:
         kernel = DecoderKernel.min_sum()
     decided = _as_bits(decided, noun="decided bit vector")
-    front = _FrontEnd(llrs, n_prime, kernel)
+    state = _State.one_frame(llrs, kernel)
+    n_prime = _component_length(n_prime, state.n)
     target = len(decided) // n_prime * n_prime
-    if target >= front.state.n:
-        raise ValueError(f"{len(decided)} decided bits leave no component of a length-{front.state.n} code")
-    for off, lam in front:
+    if target >= state.n:
+        raise ValueError(f"{len(decided)} decided bits leave no component of a length-{state.n} code")
+    for off, lam in _components(state, n_prime):
         if off == target:
             if kernel.arithmetic == "quantized":
                 return [QLlr.from_value(int(v), kernel.qformat.bits) for v in lam[0]]
             return lam[0].tolist()
-        front.state.decide(off, decided[None, off : off + n_prime])
+        state.decide(off, decided[None, off : off + n_prime])
 
 
 def hybrid_decode(llrs, mask, n_prime, kernel=None):
@@ -85,19 +83,20 @@ def hybrid_decode(llrs, mask, n_prime, kernel=None):
     mask : array-like of {0,1}
         Frozen-bit indicator for the full code.
     n_prime : int
-        Component block length; must be a power of two dividing N.
+        Component block length; must be an integer power of two dividing N.
     kernel : DecoderKernel, optional
         Arithmetic/decision selection shared by both decoder halves.
     """
     if kernel is None:
         kernel = DecoderKernel.min_sum()
-    front = _FrontEnd(llrs, n_prime, kernel)
+    state = _State.one_frame(llrs, kernel)
+    n_prime = _component_length(n_prime, state.n)
     # checked whole here; each component decodes its own slice
-    _compile(mask, front.state.n)
+    _compile(mask, state.n)
     mask = np.asarray(mask)
-    for off, lam in front:
-        front.state.decide(off, decode_batch(lam, mask[off : off + n_prime], kernel))
-    return front.state.decisions()[0]
+    for off, lam in _components(state, n_prime):
+        state.decide(off, decode_batch(lam, mask[off : off + n_prime], kernel))
+    return state.decisions()[0]
 
 
 def semi_parallel_latency(n, p):
@@ -116,8 +115,8 @@ def semi_parallel_latency(n, p):
 
 @dataclass(frozen=True)
 class HybridConfig:
-    """Hybrid-decoder sizing: code length, component length, synchronous PEs, and
-    the finite, positive synchronous clock and component combinational delay."""
+    """Hybrid-decoder sizing: code length and synchronous PEs as ``semi_parallel_latency``
+    takes them, component length, and the finite, positive clock and component delay."""
 
     n: int
     n_prime: int
@@ -126,9 +125,8 @@ class HybridConfig:
     comb_delay_s: float
 
     def __post_init__(self):
-        _require_power_of_two(self.n_prime, 2, "component length")
-        if self.n % self.n_prime != 0:
-            raise ValueError(f"component length {self.n_prime} must divide {self.n}")
+        _component_length(self.n_prime, self.n)
+        semi_parallel_latency(self.n, self.p)  # refuses the N and P that latency_gain would
         _finite(self.f_c_hz, "clock frequency", above=0)
         _finite(self.comb_delay_s, "combinational delay", above=0)
 

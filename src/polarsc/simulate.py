@@ -72,6 +72,7 @@ class SimConfig:
     def __post_init__(self):
         for name in ("max_trials", "min_frame_errors", "chunk_trials"):
             _count(getattr(self, name), name, 1)
+        _count(self.seed, "seed")
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
 
 
@@ -158,12 +159,13 @@ def run_point(config, snr_db, point_index=None, jobs=1):
         streams). Defaults to its index in ``config.snr_db``; an SNR off the
         grid needs an explicit index, so that no two points share streams.
     jobs : int
-        Worker processes for chunk evaluation.
+        Worker processes for chunk evaluation, >= 1.
 
     Returns
     -------
     FerPoint
     """
+    jobs = _count(jobs, "worker count", 1)
     if point_index is None:
         if float(snr_db) not in config.snr_db:
             raise ValueError(f"SNR {snr_db} dB is not on the grid; pass point_index")

@@ -14,13 +14,13 @@ filled and emptied ``_TILE`` frames at a time.
 
 This module alone knows the schedule's steps and the buffer layout, and
 ``_State.run`` alone interprets them; a leaf reads a frozen decision as the
-False that loading left. Scalar :func:`decode` is a batch of one. The
-pipeline model and the hybrid decoder run slices of the schedule on a
-one-frame ``_State``: they find their cuts with ``_subtrees`` (the op range
-of each subtree of a given length) and read and write node LLRs, re-encoded
-bits and decisions through the state's accessors, in natural order. The
-hybrid front end reads frozen components' input LLRs too, so it runs the
-full tree's schedule.
+False that loading left. The one-frame decoders, scalar :func:`decode`, the
+pipeline model and the hybrid decoder, load their frame only through
+``_State.one_frame`` and run the schedule, or slices of it, on that state.
+They find their cuts with ``_subtrees`` (the op range of each subtree of a
+given length) and read and write node LLRs, re-encoded bits and decisions
+through the state's accessors, in natural order. The hybrid front end reads
+frozen components' input LLRs too, so it runs the full tree's schedule.
 """
 
 from dataclasses import dataclass
@@ -234,19 +234,6 @@ def _checked(llrs, kernel):
     return _floats(llrs)
 
 
-def _as_row(llrs, kernel):
-    """
-    One frame of channel LLRs as a numpy row, unchecked: the raw values for float
-    kernels, the integer values of QLlr words of the kernel's width for the quantized one.
-    """
-    if kernel.arithmetic == "quantized":
-        width = kernel.qformat.bits
-        if any(not isinstance(x, QLlr) or x.bits != width for x in llrs):
-            raise ValueError(f"quantized decode expects QLlr words of width {width}")
-        return np.array([x.value for x in llrs], dtype=np.int64)
-    return np.asarray(llrs)
-
-
 class _State:
     """
     The buffers of up to ``width`` frames of length ``n`` (a block, or fewer
@@ -282,8 +269,13 @@ class _State:
 
     @classmethod
     def one_frame(cls, llrs, kernel):
-        """A state loaded with one frame of channel LLRs (floats, or QLlr words for the quantized kernel)."""
-        row = _checked(_as_row(llrs, kernel)[None], kernel)
+        """A state loaded with one frame of channel LLRs: floats, or QLlr words of the quantized kernel's width."""
+        if kernel.arithmetic == "quantized":
+            width = kernel.qformat.bits
+            if any(not isinstance(x, QLlr) or x.bits != width for x in llrs):
+                raise ValueError(f"quantized decode expects QLlr words of width {width}")
+            llrs = np.array([x.value for x in llrs], dtype=np.int64)
+        row = _checked(np.asarray(llrs)[None], kernel)
         state = cls(kernel, row.shape[1], 1)
         state.load(row)
         return state
@@ -358,8 +350,7 @@ class _State:
         return (self.mult[off : off + m] < 0)[_bit_reversal(m)].T.astype(np.uint8)
 
     def decide(self, off, bits):
-        """Write a (frames, m) bit matrix as the decisions of the length-m node at ``off``."""
-        bits = _as_bits(bits, 2, "bit matrix")
+        """Write a checked (frames, m) uint8 bit matrix as the decisions of the length-m node at ``off``."""
         m = bits.shape[1]
         enc = _polar_transform(bits)
         self.mult[off : off + m] = np.where(enc[:, _bit_reversal(m)].T, -1, 1)
@@ -410,8 +401,8 @@ def decode_batch(llrs, mask, kernel=None):
 
 def decode(llrs, mask, kernel=None):
     """
-    Decode one LLR vector by successive cancellation: a batch of one on
-    :func:`decode_batch`.
+    Decode one LLR vector by successive cancellation: the mask's schedule
+    run on a one-frame state.
 
     Parameters
     ----------
@@ -431,4 +422,6 @@ def decode(llrs, mask, kernel=None):
     """
     if kernel is None:
         kernel = DecoderKernel.min_sum()
-    return decode_batch(_as_row(llrs, kernel)[None], mask, kernel)[0]
+    state = _State.one_frame(llrs, kernel)
+    state.run(_compile(mask, state.n))
+    return state.decisions()[0]

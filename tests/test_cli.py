@@ -280,6 +280,14 @@ class TestSimulate:
             build_parser().parse_args(["simulate", "--mask", str(mask_file), "--snr", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flags, noun", [(["--jobs", "0"], "worker count"), (["--jobs", "-3"], "worker count"), (["--seed", "-1"], "seed")]
+    )
+    def test_rejects_bad_jobs_and_seed(self, mask_file, capsys, flags, noun):
+        code, out, err = run_cli(["simulate", "--mask", str(mask_file), "--snr", "1", *flags], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("polarsc: error:") and noun in err
+
     def test_bad_snr_spec_fails(self, mask_file, capsys):
         code, _, err = run_cli(
             ["simulate", "--mask", str(mask_file), "--snr", "1:2"], capsys

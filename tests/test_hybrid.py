@@ -12,6 +12,7 @@ from polarsc import (
     component_inputs,
     construct_frozen_mask,
     decode,
+    decode_batch,
     encode,
     QLlr,
     g_fn,
@@ -22,6 +23,8 @@ from polarsc import (
     quantize,
     semi_parallel_latency,
 )
+from polarsc.hybrid import _components
+from polarsc.vectorized import _State
 from test_decoder import reference_decode
 
 # published reference rows: (N, P, f_c Hz, N', component TP b/s, gain, hybrid Mb/s)
@@ -113,6 +116,23 @@ class TestTransparency:
             hybrid_decode([1.0] * 16, mask, 3)
         with pytest.raises(ValueError):
             hybrid_decode([1.0] * 16, mask, 32)
+        with pytest.raises(ValueError, match="component length"):
+            hybrid_decode([1.0] * 16, mask, 4.0)
+
+    def test_front_end_walks_a_loaded_state_of_any_width(self):
+        # the front end never reads the frame count: three frames loaded
+        # together decode as each does alone
+        rng = np.random.default_rng(5)
+        kernel = DecoderKernel.min_sum()
+        mask = construct_frozen_mask(32, 16)
+        llrs = rng.normal(scale=2.0, size=(3, 32))
+        state = _State(kernel, 32, 3)
+        state.load(llrs)
+        for off, lam in _components(state, 8):
+            assert lam.shape == (3, 8)
+            state.decide(off, decode_batch(lam, mask[off : off + 8], kernel))
+        want = [hybrid_decode(row, mask, 8) for row in llrs]
+        assert np.array_equal(state.decisions(), want)
 
 
 class TestSemiParallelLatency:
@@ -186,6 +206,13 @@ class TestLatencyGain:
             HybridConfig(1024, 3, 64, 1e8, 1e-8)
         with pytest.raises(ValueError):
             HybridConfig(1024, 2048, 64, 1e8, 1e-8)
+        with pytest.raises(ValueError, match="component length"):
+            HybridConfig(1024, 16.0, 64, 1e8, 1e-8)
+        # the N and P that latency_gain refuses are refused at construction
+        with pytest.raises(ValueError, match="block length"):
+            HybridConfig(1000, 8, 64, 1e8, 1e-8)
+        with pytest.raises(ValueError, match="processing-element count"):
+            HybridConfig(1024, 16, 0, 1e8, 1e-8)
         with pytest.raises(ValueError):
             HybridConfig(1024, 16, 64, 0.0, 1e-8)
         for tp in (0.0, -1.05e9):
@@ -214,6 +241,11 @@ class TestLatencyGain:
 def test_component_inputs_checks_a_trailing_partial_component():
     with pytest.raises(ValueError):
         component_inputs([1.0] * 8, [0, 0, 0, 0, 7], 4)
+
+
+def test_component_inputs_rejects_a_float_component_length():
+    with pytest.raises(ValueError, match="component length"):
+        component_inputs([1.0] * 8, [0] * 4, 4.0)
 
 
 def test_component_inputs_needs_a_component_left():

@@ -112,6 +112,11 @@ class TestRunPoint:
         assert point.frame_errors >= 30
         assert point.trials < 100_000
 
+    @pytest.mark.parametrize("jobs", [0, -3, 2.5])
+    def test_rejects_a_worker_count_below_one(self, jobs):
+        with pytest.raises(ValueError, match="worker count"):
+            run_point(small_config(), 1.0, jobs=jobs)
+
     def test_snr_point_streams_differ(self):
         config = small_config()
         a = run_point(config, 1.0, point_index=0)
@@ -182,7 +187,14 @@ class TestSweepAndCsv:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("max_trials", np.nan), ("max_trials", 1.5), ("min_frame_errors", np.nan), ("chunk_trials", 2.0)],
+        [
+            ("max_trials", np.nan),
+            ("max_trials", 1.5),
+            ("min_frame_errors", np.nan),
+            ("chunk_trials", 2.0),
+            ("seed", -1),
+            ("seed", 1.5),
+        ],
     )
     def test_config_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ValueError, match=field):
