@@ -8,8 +8,10 @@ import numpy as np
 
 
 def _require_power_of_two(n, minimum=1, noun="length"):
-    if n < minimum or (n & (n - 1)) != 0:
+    """``n`` as an int, refused unless it is a power of two >= ``minimum``; a float, even a whole one, is refused."""
+    if not isinstance(n, (int, np.integer)) or n < minimum or (n & (n - 1)) != 0:
         raise ValueError(f"{noun} must be a power of two >= {minimum}, got {n}")
+    return int(n)
 
 
 def _finite(x, noun, above=None, at_least=None):
@@ -110,6 +112,8 @@ def bec_reliabilities(n, design_erasure=0.5):
     first-half/second-half traversal). Lower value means more reliable.
     """
     _require_power_of_two(n)
+    if not 0.0 < design_erasure < 1.0:
+        raise ValueError(f"design erasure must be in (0, 1), got {design_erasure}")
     z = np.array([design_erasure], dtype=np.float64)
     while len(z) < n:
         nxt = np.empty(2 * len(z), dtype=np.float64)
@@ -141,10 +145,8 @@ def construct_frozen_mask(n, k, design_erasure=0.5):
         uint8 mask of length n with exactly k ones.
     """
     _require_power_of_two(n, 2, "block length")
-    if not 0 <= k <= n:
+    if _count(k, "k") > n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
-    if not 0.0 < design_erasure < 1.0:
-        raise ValueError(f"design erasure must be in (0, 1), got {design_erasure}")
     z = bec_reliabilities(n, design_erasure)
     # stable sort on (z, -index): equal z prefers the higher index as data
     order = sorted(range(n), key=lambda i: (z[i], -i))

@@ -84,14 +84,18 @@ def _warn_if_optimistic(d):
         warnings.warn(
             "gate delays violate the base-block assumption "
             "(comparator < 3*xor + and); the delay model may be optimistic",
-            stacklevel=3,
+            stacklevel=3,  # the line that called the public delay function
         )
+
+
+def _base_block(d):
+    return 3 * d.comparator + 4 * d.mux + d.xor + 2 * d.and_gate
 
 
 def base_block_delay(d):
     """Critical path of the length-4 base block: 3 comparators, 4 muxes, 1 XOR, 2 ANDs."""
     _warn_if_optimistic(d)
-    return 3 * d.comparator + 4 * d.mux + d.xor + 2 * d.and_gate
+    return _base_block(d)
 
 
 def delay_recursive(n, d):
@@ -102,7 +106,8 @@ def delay_recursive(n, d):
     partial-sum encoder path of log2(N/2) XORs. Excludes interconnect.
     """
     _require_power_of_two(n, 8, "block length")
-    delay = base_block_delay(d)
+    _warn_if_optimistic(d)
+    delay = _base_block(d)
     m = 8
     while m <= n:
         delay = 2 * delay + d.comparator + 2 * d.mux + math.log2(m // 2) * d.xor

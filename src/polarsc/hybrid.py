@@ -17,8 +17,7 @@ DEFAULT_COMB_THROUGHPUT_BPS = {16: 1.05e9, 32: 0.88e9, 64: 0.85e9}
 
 def _component_length(n_prime, n):
     """``n_prime`` as an int, refused unless it is a power of two >= 2 that divides the code length ``n``."""
-    n_prime = _count(n_prime, "component length", 2)
-    _require_power_of_two(n_prime, 2, "component length")
+    n_prime = _require_power_of_two(n_prime, 2, "component length")
     if n % n_prime != 0:
         raise ValueError(f"component length {n_prime} must divide {n}")
     return n_prime

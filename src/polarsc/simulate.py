@@ -3,7 +3,9 @@
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Tuple
 
 import numpy as np
@@ -103,11 +105,12 @@ class FerPoint:
     k: int = 0
 
 
-def _chunk_counts(args):
-    """Simulate one chunk of trials; pure function of its arguments."""
-    mask, kernel, chan, seed, point_index, chunk_index, trials = args
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(point_index, chunk_index))
+def _chunk_counts(config, chan, point_index, chunk_index):
+    """Simulate chunk ``chunk_index`` of a point, trials counted from its number; pure function of its arguments."""
+    trials = min(config.chunk_trials, config.max_trials - chunk_index * config.chunk_trials)
+    ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(point_index, chunk_index))
     rng = np.random.Generator(np.random.Philox(ss))
+    mask, kernel = config.code.mask, config.kernel
     data_idx = np.flatnonzero(mask)
     u = np.zeros((trials, len(mask)), dtype=np.uint8)
     data = rng.integers(0, 2, size=(trials, len(data_idx)), dtype=np.uint8)
@@ -122,31 +125,15 @@ def _chunk_counts(args):
     return trials, frame_errors, bit_errors
 
 
-def _chunk_args(config, chan, point_index):
-    step = config.chunk_trials
-    for chunk_index, start in enumerate(range(0, config.max_trials, step)):
-        trials = min(step, config.max_trials - start)
-        yield config.code.mask, config.kernel, chan, config.seed, point_index, chunk_index, trials
-
-
-def _chunk_results(args, jobs):
-    """Chunk counts in index order; with ``jobs > 1`` a pool runs waves of ``2 * jobs`` chunks."""
-    if jobs <= 1:
-        yield from map(_chunk_counts, args)
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        wave = 2 * jobs
-        for start in range(0, len(args), wave):
-            yield from pool.map(_chunk_counts, args[start : start + wave])
-
-
 def run_point(config, snr_db, point_index=None, jobs=1):
     """
     Run the stop-ruled Monte Carlo loop for a single SNR point.
 
-    Chunks are folded in index order and the run stops at the first chunk
-    boundary where the frame-error target is met or the trial budget is
-    spent, so the returned counts do not depend on ``jobs``.
+    Chunk n draws from the stream keyed by (seed, point, n); chunks run in
+    waves of ``2 * jobs`` numbers (pooled when ``jobs > 1``), so the budget
+    is never listed. They are folded in order up to the first chunk boundary
+    where the frame-error target is met or the budget is spent, so the
+    returned counts do not depend on ``jobs``.
 
     Parameters
     ----------
@@ -170,16 +157,22 @@ def run_point(config, snr_db, point_index=None, jobs=1):
         if float(snr_db) not in config.snr_db:
             raise ValueError(f"SNR {snr_db} dB is not on the grid; pass point_index")
         point_index = config.snr_db.index(float(snr_db))
+    point_index = _count(point_index, "point index")
     chan = AwgnChannel(snr_db, config.code.rate if config.code.k else 1.0)
+    counts = partial(_chunk_counts, config, chan, point_index)
+    chunks = -(-config.max_trials // config.chunk_trials)
     trials = frame_errors = bit_errors = 0
-    results = _chunk_results(list(_chunk_args(config, chan, point_index)), jobs)
-    for chunk_trials, chunk_frame_errors, chunk_bit_errors in results:
-        trials += chunk_trials
-        frame_errors += chunk_frame_errors
-        bit_errors += chunk_bit_errors
-        if frame_errors >= config.min_frame_errors:
-            break
-    results.close()  # shuts the pool down before the counts are returned
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        while trials < config.max_trials and frame_errors < config.min_frame_errors:
+            start = trials // config.chunk_trials  # every chunk folded so far was full
+            wave = range(start, min(start + 2 * jobs, chunks))
+            for chunk_trials, chunk_frame_errors, chunk_bit_errors in run(counts, wave):
+                trials += chunk_trials
+                frame_errors += chunk_frame_errors
+                bit_errors += chunk_bit_errors
+                if frame_errors >= config.min_frame_errors:
+                    break
     return FerPoint(float(snr_db), trials, frame_errors, bit_errors, k=config.code.k)
 
 

@@ -177,10 +177,36 @@ class TestConstruction:
             construct_frozen_mask(8, 9)
         with pytest.raises(ValueError):
             construct_frozen_mask(8, -1)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            construct_frozen_mask(8, 2.5)
 
     def test_rejects_bad_design(self):
         with pytest.raises(ValueError):
             construct_frozen_mask(8, 4, 0.0)
+
+    @pytest.mark.parametrize("design", [0.0, 1.0, 2.0, -0.5, np.nan])
+    def test_reliabilities_reject_a_design_erasure_outside_0_1(self, design):
+        with pytest.raises(ValueError, match="design erasure"):
+            bec_reliabilities(8, design)
+
+    def test_checks_n_then_k_then_design(self):
+        with pytest.raises(ValueError, match="block length"):
+            construct_frozen_mask(6, 9, 2.0)
+        with pytest.raises(ValueError, match="k must"):
+            construct_frozen_mask(8, 9, 2.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: bec_reliabilities(8.0),
+            lambda: construct_frozen_mask(8.0, 4),
+            lambda: CodeSpec(8.0, [0, 0, 1, 1] * 2),
+        ],
+        ids=["bec_reliabilities", "construct_frozen_mask", "CodeSpec"],
+    )
+    def test_rejects_a_float_length(self, call):
+        with pytest.raises(ValueError, match="power of two"):
+            call()
 
 
 class TestExtractData:

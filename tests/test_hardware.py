@@ -78,7 +78,7 @@ class TestComplexity:
             assert walk.adders == closed.adders
 
     def test_rejects_small_or_odd(self):
-        for bad in (2, 3, 12):
+        for bad in (2, 3, 12, 64.0):
             with pytest.raises(ValueError):
                 complexity(bad)
 
@@ -139,12 +139,25 @@ class TestDelayModel:
         with pytest.warns(UserWarning, match="base-block assumption"):
             delay_closed(16, bad)
 
+    @pytest.mark.parametrize(
+        "model",
+        [base_block_delay, lambda d: delay_recursive(16, d), lambda d: delay_closed(16, d)],
+        ids=["base_block_delay", "delay_recursive", "delay_closed"],
+    )
+    def test_assumption_warning_names_the_calling_line(self, model):
+        bad = GateDelays(1.0, 1.0, 1.0, 1.0)
+        with pytest.warns(UserWarning, match="base-block assumption") as record:
+            model(bad)
+        assert [w.filename for w in record] == [__file__]
+
     def test_rejects_small_blocks(self):
         d = sane_delays(1.0, 0.5, 0.25, 0.125)
         with pytest.raises(ValueError):
             delay_recursive(4, d)
         with pytest.raises(ValueError):
             delay_closed(4, d)
+        with pytest.raises(ValueError, match="block length"):
+            delay_closed(64.0, d)
 
     def test_rejects_negative_delay(self):
         with pytest.raises(ValueError):

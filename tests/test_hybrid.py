@@ -154,6 +154,10 @@ class TestSemiParallelLatency:
         with pytest.raises(ValueError):
             semi_parallel_latency(n, 64)
 
+    def test_rejects_a_float_block_length(self):
+        with pytest.raises(ValueError, match="block length"):
+            semi_parallel_latency(1024.0, 64)
+
     @pytest.mark.parametrize("p", [np.nan, 1.5])
     def test_rejects_non_integer_pe_count(self, p):
         with pytest.raises(ValueError, match="processing-element count"):
@@ -211,6 +215,8 @@ class TestLatencyGain:
         # the N and P that latency_gain refuses are refused at construction
         with pytest.raises(ValueError, match="block length"):
             HybridConfig(1000, 8, 64, 1e8, 1e-8)
+        with pytest.raises(ValueError, match="block length"):
+            HybridConfig(1024.0, 16, 64, 1e8, 1e-8)
         with pytest.raises(ValueError, match="processing-element count"):
             HybridConfig(1024, 16, 0, 1e8, 1e-8)
         with pytest.raises(ValueError):

@@ -214,7 +214,7 @@ class TestThroughputModel:
             assert abs(gain - 2.0) <= 0.25
 
     def test_validation(self):
-        for n in (0, 2, 1000):
+        for n in (0, 2, 1000, 64.0):
             with pytest.raises(ValueError, match="block length"):
                 PipelineTimingModel(n, 1e-9, 1)
         with pytest.raises(ValueError):

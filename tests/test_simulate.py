@@ -1,5 +1,7 @@
 """Tests for the channel model and the Monte Carlo harness contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,26 @@ class TestRunPoint:
     def test_rejects_a_worker_count_below_one(self, jobs):
         with pytest.raises(ValueError, match="worker count"):
             run_point(small_config(), 1.0, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("point_index", [-1, 1.5, np.nan])
+    def test_rejects_a_point_index_that_is_not_a_count(self, point_index, jobs):
+        with pytest.raises(ValueError, match="point index"):
+            run_point(small_config(), 1.0, point_index=point_index, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_huge_budget_stops_after_one_chunk_without_listing_it(self, jobs):
+        # at -5 dB the first chunk alone meets the target
+        config = small_config(snr_db=(-5.0,), max_trials=256 * 10**6, min_frame_errors=10)
+        tracemalloc.start()
+        try:
+            point = run_point(config, -5.0, jobs=jobs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert point.trials == config.chunk_trials
+        assert point.frame_errors >= config.min_frame_errors
+        assert peak < 4 * 2**20  # a list of the 10**6 chunks' arguments alone is ~130 MB
 
     def test_snr_point_streams_differ(self):
         config = small_config()
