@@ -10,7 +10,6 @@ from polarsc import (
     complexity,
     latency_gain,
     metrics,
-    semi_parallel_latency,
 )
 
 # measured 90nm synthesis inputs per block length: frequency Hz, power W, area m^2
@@ -41,13 +40,12 @@ def print_hybrid_table():
     print("Hybrid decoder gains (P=64 semi-parallel synchronous baseline)")
     print(f"{'N':>6} {'f MHz':>6} {'TPsp':>6} {'Nprime':>7} {'gain':>6} {'TPhl':>7}")
     for n, fc in ((2**10, 173e6), (2**11, 171e6)):
-        tp_sp = fc * n / semi_parallel_latency(n, 64) / 1e6
         for nprime, comb_tp in DEFAULT_COMB_THROUGHPUT_BPS.items():
             rep = latency_gain(
                 HybridConfig.from_comb_throughput(n, nprime, 64, fc, comb_tp)
             )
             print(
-                f"{n:>6} {fc / 1e6:>6.0f} {tp_sp:>6.1f} {nprime:>7} "
+                f"{n:>6} {fc / 1e6:>6.0f} {rep.synchronous_tp_bps / 1e6:>6.1f} {nprime:>7} "
                 f"{rep.gain:>6.2f} {rep.hybrid_tp_bps / 1e6:>7.1f}"
             )
 

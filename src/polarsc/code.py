@@ -8,8 +8,8 @@ import numpy as np
 
 
 def _require_power_of_two(n, minimum=1, noun="length"):
-    """``n`` as an int, refused unless it is a power of two >= ``minimum``; a float, even a whole one, is refused."""
-    if not isinstance(n, (int, np.integer)) or n < minimum or (n & (n - 1)) != 0:
+    """``n`` as an int, refused unless it is a power of two >= ``minimum``; a float, even a whole one, or a bool is refused."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum or (n & (n - 1)) != 0:
         raise ValueError(f"{noun} must be a power of two >= {minimum}, got {n}")
     return int(n)
 
@@ -27,8 +27,8 @@ def _finite(x, noun, above=None, at_least=None):
 
 
 def _count(x, noun, minimum=0):
-    """``x`` as an int >= ``minimum``; a float, even a whole or NaN one, is refused."""
-    if not isinstance(x, (int, np.integer)) or x < minimum:
+    """``x`` as an int >= ``minimum``; a float, even a whole or NaN one, or a bool is refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < minimum:
         raise ValueError(f"{noun} must be an integer >= {minimum}, got {x!r}")
     return int(x)
 
@@ -174,7 +174,7 @@ class CodeSpec:
     mask: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _require_power_of_two(self.n)
+        self.n = _require_power_of_two(self.n)
         self.mask = _as_bits(self.mask, noun="mask")
         if len(self.mask) != self.n:
             raise ValueError(f"mask length {len(self.mask)} != n {self.n}")

@@ -10,8 +10,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .code import CodeSpec, _count, _finite
-from .vectorized import DecoderKernel, decode_batch, encode_batch, quantize_batch
+from .code import CodeSpec, _count, _finite, _polar_transform
+from .vectorized import DecoderKernel, decode_batch, quantize_batch
 
 CSV_HEADER = "snr_db,trials,frame_errors,bit_errors,fer,ber,ci95"
 
@@ -73,8 +73,8 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("max_trials", "min_frame_errors", "chunk_trials"):
-            _count(getattr(self, name), name, 1)
-        _count(self.seed, "seed")
+            object.__setattr__(self, name, _count(getattr(self, name), name, 1))
+        object.__setattr__(self, "seed", _count(self.seed, "seed"))
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
 
 
@@ -115,7 +115,7 @@ def _chunk_counts(config, chan, point_index, chunk_index):
     u = np.zeros((trials, len(mask)), dtype=np.uint8)
     data = rng.integers(0, 2, size=(trials, len(data_idx)), dtype=np.uint8)
     u[:, data_idx] = data
-    llrs = channel_llrs(encode_batch(u), chan, rng)
+    llrs = channel_llrs(_polar_transform(u), chan, rng)  # u is 0/1 uint8 by construction
     if kernel.arithmetic == "quantized":
         llrs = quantize_batch(llrs, kernel.qformat)
     u_hat = decode_batch(llrs, mask, kernel)

@@ -105,19 +105,26 @@ def _floats(llrs):
 
 
 def quantize_batch(llrs, fmt):
-    """Quantize float LLRs to signed integer words (sign-magnitude semantics)."""
+    """
+    Quantize float LLRs to sign-magnitude words, as signed integers of the narrowest
+    type that holds the format's maximum magnitude: int8 up to 8 bits, int16 up to 16,
+    int32 up to 32, int64 above.
+    """
     llrs = _floats(llrs)
+    top = fmt.max_magnitude
+    mag = np.abs(llrs, out=np.empty_like(llrs))  # an array, also for a 0-d input
     with np.errstate(over="ignore"):  # a product that overflows to inf saturates below
-        mag = np.floor(np.abs(llrs) * fmt.scale + 0.5)
-    if fmt.bits <= 32:
-        mag = np.minimum(mag, fmt.max_magnitude).astype(np.int32)
-    else:
-        # from 54 bits float(max_magnitude) rounds up, and at 64 bits past
-        # int64, so saturate in integers
-        over = mag >= fmt.max_magnitude
-        mag = np.where(over, 0.0, mag).astype(np.int64)
-        mag[over] = fmt.max_magnitude
-    return np.where(llrs < 0, -mag, mag)
+        mag *= fmt.scale
+    mag += 0.5
+    np.floor(mag, out=mag)
+    # exact at every width: from 55 bits float(top) rounds up past top, and no
+    # float below float(top) exceeds top; a negative that rounds to 0 is -0.0, the word 0
+    over = mag >= top
+    mag[over] = 0.0
+    words = np.copysign(mag, llrs, out=mag).astype(_word_dtype(top))
+    words[over] = top
+    words[over & (llrs < 0)] = -top
+    return words
 
 
 @lru_cache(maxsize=64)
@@ -202,12 +209,12 @@ def _f_words(a, b, out, x, y):
     out *= sign
 
 
-def _word_dtype(max_magnitude):
-    """Smallest signed integer type that holds every g sum, +/-2*max_magnitude."""
+def _word_dtype(bound):
+    """Smallest signed integer type that holds [-bound, bound]; the decoder passes the bound of a g sum, 2 * max_magnitude."""
     for dtype in (np.int8, np.int16, np.int32, np.int64):
-        if 2 * max_magnitude <= np.iinfo(dtype).max:
+        if bound <= np.iinfo(dtype).max:
             return dtype
-    raise ValueError(f"words of magnitude {max_magnitude} are too wide for int64")
+    raise ValueError(f"a magnitude of {bound} is too wide for int64")
 
 
 def _compile(mask, n):
@@ -249,7 +256,7 @@ class _State:
 
     def __init__(self, kernel, n, frames):
         if kernel.arithmetic == "quantized":
-            dtype, self.f = _word_dtype(kernel.qformat.max_magnitude), _f_words
+            dtype, self.f = _word_dtype(2 * kernel.qformat.max_magnitude), _f_words
             # a bound in the word type spares np.clip an np.iinfo per call
             self.clip = dtype(kernel.qformat.max_magnitude)
         else:

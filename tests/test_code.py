@@ -201,8 +201,9 @@ class TestConstruction:
             lambda: bec_reliabilities(8.0),
             lambda: construct_frozen_mask(8.0, 4),
             lambda: CodeSpec(8.0, [0, 0, 1, 1] * 2),
+            lambda: CodeSpec(True, [1]),
         ],
-        ids=["bec_reliabilities", "construct_frozen_mask", "CodeSpec"],
+        ids=["bec_reliabilities", "construct_frozen_mask", "CodeSpec", "CodeSpec-bool"],
     )
     def test_rejects_a_float_length(self, call):
         with pytest.raises(ValueError, match="power of two"):

@@ -114,7 +114,7 @@ class TestRunPoint:
         assert point.frame_errors >= 30
         assert point.trials < 100_000
 
-    @pytest.mark.parametrize("jobs", [0, -3, 2.5])
+    @pytest.mark.parametrize("jobs", [0, -3, 2.5, True])
     def test_rejects_a_worker_count_below_one(self, jobs):
         with pytest.raises(ValueError, match="worker count"):
             run_point(small_config(), 1.0, jobs=jobs)
@@ -214,6 +214,7 @@ class TestSweepAndCsv:
             ("max_trials", 1.5),
             ("min_frame_errors", np.nan),
             ("chunk_trials", 2.0),
+            ("chunk_trials", True),
             ("seed", -1),
             ("seed", 1.5),
         ],

@@ -107,9 +107,9 @@ class TestQuantizeBatch:
         with pytest.raises(ValueError):
             quantize_batch(np.array([[1.0, bad]]), Q5)
 
-    @pytest.mark.parametrize("bits", [16, 32, 33, 40, 55, 63, 64])
+    @pytest.mark.parametrize("bits", [2, 8, 9, 16, 32, 33, 40, 53, 54, 55, 63, 64])
     def test_wide_formats_saturate_like_scalar(self, bits):
-        # from 54 bits float(max_magnitude) rounds up past max_magnitude
+        # from 55 bits float(max_magnitude) rounds up past max_magnitude
         fmt = QFormat(bits)
         top = float(fmt.max_magnitude)
         values = np.array([1e30, 1e12, top, np.nextafter(top, 0), top / 2, 2.5, 0.4, 0.0])
@@ -117,6 +117,20 @@ class TestQuantizeBatch:
         batch = quantize_batch(values, fmt)
         for i, v in enumerate(values):
             assert batch[i] == quantize(float(v), fmt).value, v
+        assert np.array_equal(quantize_batch(values.reshape(4, -1), fmt), batch.reshape(4, -1))
+        assert quantize_batch(np.empty((0, 4)), fmt).shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "bits, dtype",
+        [(2, np.int8), (8, np.int8), (9, np.int16), (16, np.int16),
+         (17, np.int32), (32, np.int32), (33, np.int64), (64, np.int64)],
+    )
+    def test_words_take_the_narrowest_type_that_holds_the_format(self, bits, dtype):
+        fmt = QFormat(bits)
+        for values in (np.array([[1e30, -1e30, 0.4, -0.4]]), np.empty(0), np.float64(-1e30)):
+            words = quantize_batch(values, fmt)
+            assert words.dtype == dtype and words.shape == np.shape(values)
+        assert words == -fmt.max_magnitude
 
     @pytest.mark.parametrize("bits", [5, 40, 64])
     def test_saturates_a_scaled_value_past_the_float_range_silently(self, bits):
@@ -136,6 +150,20 @@ class TestQuantizeBatch:
         llrs = 3e11 * (1.0 - 2.0 * encode_batch(u))
         words = quantize_batch(llrs, fmt)
         assert np.array_equal(decode_batch(words, mask, DecoderKernel.quantized(fmt)), u)
+
+
+    @pytest.mark.parametrize("bits", [8, 9])
+    def test_narrow_words_decode_like_int64_words(self, bits):
+        # Q8 words are int8 while the decoder works in int16; Q9 words are int16 in both
+        fmt = QFormat(bits, 4.0)
+        kernel = DecoderKernel.quantized(fmt)
+        mask = construct_frozen_mask(64, 32)
+        llrs = np.random.default_rng(bits).normal(scale=24.0, size=(64, 64))
+        words = quantize_batch(llrs, fmt)
+        assert words.dtype == (np.int8 if bits == 8 else np.int16)
+        assert np.abs(words).max() == fmt.max_magnitude  # some words saturate
+        wide = decode_batch(words.astype(np.int64), mask, kernel)
+        assert np.array_equal(decode_batch(words, mask, kernel), wide)
 
 
 def _scalar_quantized(llr_row, mask, kernel):
