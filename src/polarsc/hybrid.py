@@ -1,5 +1,5 @@
-"""Hybrid decoding: a synchronous LLR front end delegating component codes to the
-combinational decoder, plus the analytical latency/throughput calculator."""
+"""Hybrid decoding: component codes decoded behind the engine's synchronous front end
+(``vectorized._components``), plus the analytical latency/throughput calculator."""
 
 import math
 from dataclasses import dataclass
@@ -8,7 +8,7 @@ import numpy as np
 
 from .code import _as_bits, _count, _finite, _require_power_of_two
 from .llr import QLlr
-from .vectorized import DecoderKernel, _compile, _schedule, _State, _subtrees, decode_batch
+from .vectorized import DecoderKernel, _compile, _components, _State, decode_batch
 
 # Measured throughputs (b/s) of the combinational core on a mid-range FPGA,
 # used to derive default component-decoder delays D = N'/TP.
@@ -21,23 +21,6 @@ def _component_length(n_prime, n):
     if n % n_prime != 0:
         raise ValueError(f"component length {n_prime} must divide {n}")
     return n_prime
-
-
-def _components(state, n_prime):
-    """
-    The synchronous front end: the full tree's schedule run on a state its
-    caller loaded, of any width, up to each length-N' subtree in turn. It
-    yields the subtree's offset and input LLRs, one row per frame; the caller
-    writes its N' decisions with ``state.decide`` before the walk goes on.
-    """
-    # it runs no leaf, and every component needs its input LLRs, so it
-    # walks the unpruned tree: the schedule of the all-data mask
-    ops = _schedule(b"\x01" * state.n)
-    pos = 0
-    for off, start, stop in _subtrees(ops, n_prime):
-        state.run(ops[pos:start])
-        yield off, state.node_llrs(n_prime)
-        pos = stop
 
 
 def component_inputs(llrs, decided, n_prime, kernel=None):

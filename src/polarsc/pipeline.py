@@ -5,7 +5,7 @@ from typing import Optional
 
 import numpy as np
 
-from .code import _count, _finite, _require_power_of_two
+from .code import _as_bits, _count, _finite, _require_power_of_two
 from .vectorized import DecoderKernel, _compile, _State, _subtrees
 
 
@@ -48,7 +48,7 @@ class PipelinedDecoder:
     """
 
     def __init__(self, mask, stages=1, kernel=None):
-        n = len(mask)
+        n = len(_as_bits(mask, noun="mask"))  # a scalar mask has no length
         _require_power_of_two(n, 4, "mask length")
         self.stages = _count(stages, "stage count")
         ops = _compile(mask, n)

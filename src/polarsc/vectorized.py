@@ -12,15 +12,15 @@ quantized words are carried in the narrowest integer type that holds a g sum
 float frames, so narrower words decode more frames per numpy call, and it is
 filled and emptied ``_TILE`` frames at a time.
 
-This module alone knows the schedule's steps and the buffer layout, and
-``_State.run`` alone interprets them; a leaf reads a frozen decision as the
-False that loading left. The one-frame decoders, scalar :func:`decode`, the
-pipeline model and the hybrid decoder, load their frame only through
-``_State.one_frame`` and run the schedule, or slices of it, on that state.
-They find their cuts with ``_subtrees`` (the op range of each subtree of a
-given length) and read and write node LLRs, re-encoded bits and decisions
-through the state's accessors, in natural order. The hybrid front end reads
-frozen components' input LLRs too, so it runs the full tree's schedule.
+This module alone builds schedules and knows their steps and the buffer
+layout, and ``_State.run`` alone interprets them; a leaf reads a frozen
+decision as the False that loading left. The one-frame decoders, scalar
+:func:`decode`, the pipeline model and the hybrid decoder, load their frame
+only through ``_State.one_frame`` and run the schedule, or slices of it cut
+by ``_subtrees`` (the op range of each subtree of a given length), on that
+state. The hybrid decoder's front end is ``_components``, a walk of the full
+tree's schedule that stops at each component, since it reads frozen
+components' input LLRs too.
 """
 
 from dataclasses import dataclass
@@ -70,8 +70,8 @@ class DecoderKernel:
             raise ValueError(f"unknown arithmetic {self.arithmetic!r}")
         if self.decision not in _DECISIONS:
             raise ValueError(f"unknown decision mode {self.decision!r}")
-        if self.arithmetic == "quantized" and self.qformat is None:
-            raise ValueError("quantized arithmetic requires a QFormat")
+        if (self.arithmetic == "quantized") != (self.qformat is not None):
+            raise ValueError("quantized arithmetic requires a QFormat, and no other arithmetic takes one")
 
     @classmethod
     def min_sum(cls, decision="shortcut"):
@@ -178,6 +178,24 @@ def _subtrees(ops, m):
             start = i + 1
         elif 2 * h == m and kind not in (_F, _G):
             yield off, start, i + 1
+
+
+def _components(state, n_prime):
+    """
+    The hybrid decoder's synchronous front end: the full tree's schedule run on
+    a state its caller loaded, of any width, up to each length-N' subtree in
+    turn. It yields the subtree's offset and input LLRs, (frames, N') in natural
+    order; the caller writes its N' decisions with ``state.decide`` before the walk goes on.
+    """
+    # it runs no leaf, and every component needs its input LLRs, so it
+    # walks the unpruned tree: the schedule of the all-data mask
+    ops = _schedule(b"\x01" * state.n)
+    pos = 0
+    for off, start, stop in _subtrees(ops, n_prime):
+        state.run(ops[pos:start])
+        # rows [N', 2N') of the level buffer hold the node's LLRs, bit-reversed
+        yield off, state.llr[n_prime : 2 * n_prime][_bit_reversal(n_prime)].T
+        pos = stop
 
 
 def _f_minsum(a, b, out, x, y):
@@ -347,10 +365,6 @@ class _State:
                 mult[off : off + h] *= mult[off + h : off + 2 * h]
             else:
                 mult[off : off + 2 * h].fill(1)
-
-    def node_llrs(self, m):
-        """The input LLRs of the running length-m node, (frames, m)."""
-        return self.llr[m : 2 * m][_bit_reversal(m)].T
 
     def node_bits(self, off, m):
         """The re-encoded bits of the finished length-m node at ``off``, (frames, m)."""

@@ -146,6 +146,12 @@ class TestKernelValidation:
         with pytest.raises(ValueError):
             DecoderKernel("quantized")
 
+    @pytest.mark.parametrize("arithmetic", ["minsum", "exact"])
+    def test_float_arithmetic_takes_no_format(self, arithmetic):
+        # a format the float kernels would ignore is refused, not dropped
+        with pytest.raises(ValueError, match="QFormat"):
+            DecoderKernel(arithmetic, "shortcut", QFormat(5))
+
 
 class TestUnrolledOracle:
     def test_spec_example_instance(self):

@@ -188,6 +188,9 @@ class TestStateInvariants:
             PipelinedDecoder([0.5, 1, 1, 1])
         with pytest.raises(ValueError):
             PipelinedDecoder([[0, 1, 1, 1]] * 4)
+        for scalar in (5, None):  # refused as masks before their length is taken
+            with pytest.raises(ValueError, match="1-D mask"):
+                PipelinedDecoder(scalar)
 
 
 class TestThroughputModel:

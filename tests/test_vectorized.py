@@ -515,3 +515,27 @@ def test_views_on_a_long_frozen_prefix(prefix):
             for off in range(0, n, n_prime):
                 got = component_inputs(frame, u[:off], n_prime)
                 assert got == _reference_node_llrs(frame, u, off, n_prime)
+
+
+@pytest.mark.parametrize("kernel", WORD_KERNELS, ids=str)
+@pytest.mark.parametrize("n", [4, 8, 32])
+def test_one_frame_models_on_tie_heavy_words(kernel, n):
+    # words from {+/-max, +/-2, +/-1, 0}: magnitude ties, zero and saturated
+    # sums, on masks with a frozen run of each length at many alignments
+    rng = np.random.default_rng(n)
+    frames = [[QLlr.from_value(int(v), kernel.qformat.bits) for v in row] for row in _tie_heavy(rng, 4, n, kernel)]
+    masks = [construct_frozen_mask(n, n // 2)]
+    for length in sorted({1, 2, n // 4, n // 2, n}):
+        for start in range(0, n - length + 1, max(1, n // 8)):
+            mask = np.ones(n, dtype=np.uint8)
+            mask[start : start + length] = 0
+            masks.append(mask)
+    for mask in masks:
+        want = [reference_decode(frame, mask, kernel)[0] for frame in frames]
+        for frame, u in zip(frames, want):
+            for n_prime in (2**e for e in range(1, n.bit_length())):
+                assert np.array_equal(hybrid_decode(frame, mask, n_prime, kernel), u), (mask, n_prime)
+        for stages in (0, 1, 2):
+            pipe = PipelinedDecoder(mask, stages=stages, kernel=kernel)
+            outputs = [out for out in map(pipe.step, frames) if out is not None] + pipe.drain()
+            assert all(np.array_equal(a, b) for a, b in zip(outputs, want, strict=True)), (mask, stages)
