@@ -85,8 +85,8 @@ def g_fn(l1, l2, v):
 
 
 def _max_magnitude(bits):
-    """Largest magnitude of a sign-magnitude word of ``bits`` bits, sign included."""
-    if bits < 2:
+    """Largest magnitude of a sign-magnitude word of ``bits`` bits, sign included; ``bits`` is an int >= 2."""
+    if _count(bits, "word width") < 2:
         raise ValueError(f"need at least 2 bits (sign + magnitude), got {bits}")
     return (1 << (bits - 1)) - 1
 
@@ -104,7 +104,7 @@ class QFormat:
     scale: float = 1.0
 
     def __post_init__(self):
-        _max_magnitude(_count(self.bits, "word width"))
+        _max_magnitude(self.bits)
         _finite(self.scale, "scale", above=0)
 
     @property
@@ -114,20 +114,18 @@ class QFormat:
 
 @dataclass(frozen=True)
 class QLlr:
-    """One sign-magnitude LLR word. Zero is normalized: magnitude 0 forces sign 0."""
+    """One sign-magnitude LLR word of integer fields. Zero is normalized: magnitude 0 forces sign 0."""
 
     sign: int
     magnitude: int
     bits: int
 
     def __post_init__(self):
-        if self.sign not in (0, 1):
+        if _count(self.sign, "sign") > 1:
             raise ValueError(f"sign must be 0 or 1, got {self.sign}")
         max_mag = _max_magnitude(self.bits)
-        if not 0 <= self.magnitude <= max_mag:
-            raise ValueError(
-                f"magnitude {self.magnitude} out of range [0, {max_mag}] for {self.bits} bits"
-            )
+        if _count(self.magnitude, "magnitude") > max_mag:
+            raise ValueError(f"magnitude {self.magnitude} out of range [0, {max_mag}] for {self.bits} bits")
         if self.magnitude == 0 and self.sign != 0:
             raise ValueError("zero magnitude must carry sign 0")
 
@@ -138,8 +136,8 @@ class QLlr:
 
     @classmethod
     def from_value(cls, value, bits):
-        """Build a word from a signed integer, saturating the magnitude."""
-        mag = min(abs(int(value)), _max_magnitude(bits))
+        """Build a word from a signed integer (a float or bool is refused), saturating the magnitude."""
+        mag = min(abs(_count(value, "value", -math.inf)), _max_magnitude(bits))
         return cls(0 if mag == 0 else (1 if value < 0 else 0), mag, bits)
 
 
@@ -151,8 +149,7 @@ def quantize(llr, fmt):
     format's maximum; the sign follows :func:`sign_bit` unless the magnitude
     rounds to zero.
     """
-    if not math.isfinite(llr):
-        raise ValueError(f"LLR must be finite, got {llr}")
+    _finite(llr, "LLR")
     scaled = abs(llr) * fmt.scale + 0.5
     # an exact comparison, which also saturates a product that overflowed to inf
     mag = fmt.max_magnitude if scaled >= fmt.max_magnitude else math.floor(scaled)

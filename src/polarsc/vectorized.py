@@ -34,9 +34,9 @@ from .llr import QFormat, QLlr
 
 # Float frames decoded together. A block of words holds as many bytes of LLRs,
 # 8192 int8 or 4096 int16 frames, so numpy's cost per call is spread over more
-# frames of a narrower word. The buffers take 29 bytes per frame and position for
-# floats and 4.5 for int8 words, so this bounds the working set of a large batch
-# (about 30 MB at N=1024 for floats, 38 MB for int8 words).
+# frames of a narrower word. The buffers take 25 bytes per frame and position for
+# floats and 4 for int8 words, so this bounds the working set of a large batch
+# (about 26 MB at N=1024 for floats, 34 MB for int8 words).
 BLOCK_FRAMES = 1024
 
 # Frames copied into or out of a block at a time: a (_TILE, N) slice stays in
@@ -268,8 +268,9 @@ class _State:
     Rows [m, 2m) of the level buffer ``llr`` hold the LLRs of the current
     length-m node, so the channel LLRs stay in rows [n, 2n). ``mult`` holds
     each finished node's re-encoded bits as +/-1 multipliers, in bit-reversed
-    order within the node, and ``u`` the decisions. The accessors below give
-    and take one row per loaded frame, in natural order.
+    order within the node, ``u`` the decisions and ``flag`` a bool per frame:
+    the whole datapath, as f borrows rows that no finished step needs. The
+    accessors below give and take one row per loaded frame, in natural order.
     """
 
     def __init__(self, kernel, n, frames):
@@ -285,36 +286,35 @@ class _State:
         # the LLR bytes of a float block; at least one frame, since
         # decode_batch steps through a batch, even an empty one, by this width
         self.width = width = max(1, min(frames, BLOCK_FRAMES * 8 // np.dtype(dtype).itemsize))
-        rows = ((2 * n, dtype), (n, dtype), (n // 2, dtype), (n, bool))
+        rows = ((2 * n, dtype), (n, dtype), (n, bool), (1, bool))
         self.storage = [np.empty((r, width), dtype=t) for r, t in rows]
-        self.llr, self.mult, self.scratch, self.u = self.storage
-        self.frames = width
-        self.flag = np.empty(width, dtype=bool)
         self.signs = np.array([1, -1], dtype=dtype)  # decision bit -> multiplier
 
     @classmethod
     def one_frame(cls, llrs, kernel):
         """A state loaded with one frame of channel LLRs: floats, or QLlr words of the quantized kernel's width."""
+        llrs = np.asarray(llrs)
+        if llrs.ndim != 1:
+            raise ValueError(f"expected a 1-D frame of LLRs, got shape {llrs.shape}")
         if kernel.arithmetic == "quantized":
             width = kernel.qformat.bits
             if any(not isinstance(x, QLlr) or x.bits != width for x in llrs):
                 raise ValueError(f"quantized decode expects QLlr words of width {width}")
             llrs = np.array([x.value for x in llrs], dtype=np.int64)
-        row = _checked(np.asarray(llrs)[None], kernel)
+        row = _checked(llrs[None], kernel)
         state = cls(kernel, row.shape[1], 1)
         state.load(row)
         return state
 
     def load(self, block):
-        """Bit-reverse a checked (frames, n) block into the level buffer and clear ``u``."""
+        """Cut the buffers of a checked (frames, n) block, bit-reverse it into the level buffer and clear ``u``."""
         k, n = block.shape
-        if k != self.frames:
-            # a block of another width runs on the start of each buffer, so
-            # that its rows are contiguous too and no numpy call copies them
-            self.frames = k
-            self.llr, self.mult, self.scratch, self.u = (
-                a.ravel()[: len(a) * k].reshape(-1, k) for a in self.storage
-            )
+        # a block runs on the start of each buffer, so that its rows are
+        # contiguous at any width and no numpy call copies them
+        self.frames = k
+        self.llr, self.mult, self.u, (self.flag,) = (
+            a.ravel()[: len(a) * k].reshape(-1, k) for a in self.storage
+        )
         # transpose into the free lower levels, then gather the bit-reversed rows
         lower = self.llr[:n]
         for i in range(0, k, _TILE):
@@ -326,18 +326,20 @@ class _State:
         """
         Run a slice of a schedule on the loaded frames. A leaf reads a frozen
         decision, never written, as the False that ``load`` left: multiplier
-        +1. Rows [0, h) of ``llr`` belong to finished subtrees when a node of
-        length 2h runs, so they serve as f's second scratch buffer.
+        +1. The f of a length-2h node at ``off`` borrows rows [0, h) of ``llr``
+        from finished subtrees, and rows [off, off + h) of ``mult`` (a leaf's
+        row ``off``) from its first child, whose leaf and zero steps write
+        each of them before any step reads it.
         """
-        llr, mult, u, scratch = self.llr, self.mult, self.u, self.scratch
-        f, clip, shortcut, signs, flag = self.f, self.clip, self.shortcut, self.signs, self.flag[: self.frames]
+        llr, mult, u, flag = self.llr, self.mult, self.u, self.flag
+        f, clip, shortcut, signs = self.f, self.clip, self.shortcut, self.signs
         a, b = llr[2], llr[3]
-        fv, x, y = llr[1], scratch[0], llr[0]
+        fv, y = llr[1], llr[0]
         for op in ops:
             kind = op[0]
             if kind == _LEAF:
                 _, _, off, a_even, a_odd = op
-                u0, u1 = u[off], u[off + 1]
+                u0, u1, x = u[off], u[off + 1], mult[off]
                 if a_even:
                     f(a, b, fv, x, y)
                     np.less(fv, 0, out=u0)
@@ -350,11 +352,11 @@ class _State:
                     # saturation keeps the sign, so the unclipped sum decides
                     np.less(np.where(u0, b - a, b + a), 0, out=u1)
                 np.take(signs, u1.view(np.uint8), out=mult[off + 1], mode="wrap")
-                np.take(signs, np.logical_xor(u0, u1, out=flag).view(np.uint8), out=mult[off], mode="wrap")
+                np.take(signs, np.logical_xor(u0, u1, out=flag).view(np.uint8), out=x, mode="wrap")
                 continue
             _, h, off = op
             if kind == _F:
-                f(llr[2 * h : 3 * h], llr[3 * h : 4 * h], llr[h : 2 * h], scratch[:h], llr[:h])
+                f(llr[2 * h : 3 * h], llr[3 * h : 4 * h], llr[h : 2 * h], mult[off : off + h], llr[:h])
             elif kind == _G:
                 child = llr[h : 2 * h]
                 np.multiply(mult[off : off + h], llr[2 * h : 3 * h], out=child)
@@ -373,8 +375,7 @@ class _State:
     def decide(self, off, bits):
         """Write a checked (frames, m) uint8 bit matrix as the decisions of the length-m node at ``off``."""
         m = bits.shape[1]
-        enc = _polar_transform(bits)
-        self.mult[off : off + m] = np.where(enc[:, _bit_reversal(m)].T, -1, 1)
+        self.mult[off : off + m] = self.signs[_polar_transform(bits)[:, _bit_reversal(m)].T]
         self.u[off : off + m] = bits.T
 
     def decisions(self, out=None):

@@ -173,6 +173,8 @@ class TestQuantize:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             quantize(float("inf"), Q5)
+        with pytest.raises(ValueError):  # an integer too large for a float
+            quantize(10**400, Q5)
 
 
 class TestQFormat:
@@ -216,6 +218,22 @@ class TestQLlr:
     def test_value_roundtrip(self):
         for word in Q5_WORDS:
             assert QLlr.from_value(word.value, 5) == word
+
+    @pytest.mark.parametrize(
+        "fields",
+        [(0, 1.5, 5), (True, 1, 5), (0, 1, 5.0), (0.0, 1, 5), (0, np.float64(1), 5)],
+        ids=["float_magnitude", "bool_sign", "float_width", "float_sign", "numpy_float_magnitude"],
+    )
+    def test_rejects_non_integer_fields(self, fields):
+        with pytest.raises(ValueError, match="integer"):
+            QLlr(*fields)
+
+    @pytest.mark.parametrize("value", [2.7, 3.0, "3", True, np.float64(2)], ids=repr)
+    def test_from_value_rejects_non_integers(self, value):
+        with pytest.raises(ValueError, match="integer"):
+            QLlr.from_value(value, 5)
+        # numpy integers, as decoders hand them out, are words
+        assert QLlr.from_value(np.int8(-3), 5) == QLlr(1, 3, 5)
 
 
 class TestQuantizedOps:

@@ -1,5 +1,7 @@
 """Tests for the pipelined-decoder schedule, state invariants, and timing model."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,10 @@ class TestStateInvariants:
         pipe = PipelinedDecoder(construct_frozen_mask(8, 4), stages=1)
         with pytest.raises(ValueError):
             pipe.step([1.0, 2.0])
+        for frame in (3.0, np.zeros((1, 8))):  # not 1-D: refused with the frame's own shape
+            with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(frame)}")):
+                pipe.step(frame)
+        assert (pipe.cycle, pipe.in_flight) == (0, 0)
 
     @pytest.mark.parametrize("stages", [np.nan, 1.5])
     def test_rejects_non_integer_stages(self, stages):

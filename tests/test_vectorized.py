@@ -1,6 +1,7 @@
 """Bit-exactness of the batched kernels against the scalar references."""
 
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -33,6 +34,7 @@ from polarsc.vectorized import (
     _ZERO,
     BLOCK_FRAMES,
     _compile,
+    _components,
     _f_exact,
     _f_minsum,
     _schedule,
@@ -275,6 +277,27 @@ def test_llrs_must_be_integers_or_floats(entry, llrs):
         entry(llrs)
 
 
+ONE_FRAME_ENTRY_POINTS = {
+    "decode": lambda llrs, kernel: decode(llrs, [0, 1, 1, 1], kernel),
+    "hybrid_decode": lambda llrs, kernel: hybrid_decode(llrs, [0, 1, 1, 1], 2, kernel),
+    "component_inputs": lambda llrs, kernel: component_inputs(llrs, [], 2, kernel),
+}
+NOT_ONE_D_FRAMES = {
+    "float": (3.0, DecoderKernel.min_sum()),
+    "row": (np.zeros((1, 4)), DecoderKernel.min_sum()),
+    "nested": ([[1.0, 2.0, 3.0, 4.0]], DecoderKernel.min_sum()),
+    "word": (QLlr(0, 1, 5), DecoderKernel.quantized(Q5)),
+    "nested_words": ([[QLlr(0, 1, 5)] * 4], DecoderKernel.quantized(Q5)),
+}
+
+
+@pytest.mark.parametrize("entry", ONE_FRAME_ENTRY_POINTS.values(), ids=ONE_FRAME_ENTRY_POINTS.keys())
+@pytest.mark.parametrize("frame,kernel", NOT_ONE_D_FRAMES.values(), ids=NOT_ONE_D_FRAMES.keys())
+def test_one_frame_entry_points_refuse_a_frame_that_is_not_1d(entry, frame, kernel):
+    with pytest.raises(ValueError, match=re.escape(f"1-D frame of LLRs, got shape {np.shape(frame)}")):
+        entry(frame, kernel)
+
+
 KERNELS = [
     DecoderKernel(arithmetic, decision)
     for arithmetic in ("minsum", "exact")
@@ -373,6 +396,16 @@ def test_a_block_holds_the_llr_bytes_of_a_float_block():
         assert _State(kernel, 8, 10**6).width == width
     assert _State(DecoderKernel.quantized(Q5), 8, 3).width == 3
     assert _State(DecoderKernel.min_sum(), 8, 0).width == 1
+
+
+@pytest.mark.parametrize("word,per_position", [("float", 25), ("int8", 4)])
+def test_a_block_state_is_the_datapath_alone(word, per_position):
+    # per frame and position: 2 level LLRs, 1 multiplier and 1 decision; per
+    # frame one flag. f borrows rows of these, so there is no scratch buffer
+    kernel, width = WORD_BLOCKS[word]
+    n = 64
+    state = _State(kernel, n, 10**6)
+    assert sum(a.nbytes for a in state.storage) == width * (per_position * n + 1)
 
 
 def test_a_partial_block_allocates_no_block_sized_temporary():
@@ -539,3 +572,45 @@ def test_one_frame_models_on_tie_heavy_words(kernel, n):
             pipe = PipelinedDecoder(mask, stages=stages, kernel=kernel)
             outputs = [out for out in map(pipe.step, frames) if out is not None] + pipe.drain()
             assert all(np.array_equal(a, b) for a, b in zip(outputs, want, strict=True)), (mask, stages)
+
+
+def _poisoned(kernel, n, frames):
+    """A state of ``frames`` frames whose every buffer holds NaN, the word type's minimum, or True."""
+    state = _State(kernel, n, frames)
+    for a in state.storage:
+        a.fill(True if a.dtype == bool else np.nan if a.dtype.kind == "f" else np.iinfo(a.dtype).min)
+    return state
+
+
+@pytest.mark.parametrize("kernel", KERNELS + WORD_KERNELS, ids=str)
+@pytest.mark.parametrize("n", [4, 32, 256])
+def test_a_poisoned_state_decodes_as_a_clean_one(kernel, n):
+    # no step reads a buffer row that no step of this decode wrote: f borrows
+    # rows of mult and llr, a leaf reads a frozen decision as the False that
+    # load left, and the front end's decide overwrites a component's rows whole
+    rng = np.random.default_rng(n + 1)
+    llrs = _tie_heavy(rng, 4, n, kernel)
+    if kernel.arithmetic == "quantized":
+        frames = [[QLlr.from_value(int(v), kernel.qformat.bits) for v in row] for row in llrs]
+    else:
+        llrs = np.vstack([llrs, rng.normal(scale=2.0, size=(4, n))])
+        frames = list(llrs)
+    masks = [construct_frozen_mask(n, n // 2), np.r_[np.zeros(3 * n // 4), np.ones(n // 4)].astype(np.uint8)]
+    masks.append((rng.random(n) < 0.5).astype(np.uint8))
+    for mask in masks:
+        want = np.array([reference_decode(frame, mask, kernel)[0] for frame in frames])
+        state = _poisoned(kernel, n, len(llrs))
+        state.load(llrs)
+        state.run(_compile(mask, n))
+        assert np.array_equal(state.decisions(), want), mask
+        for n_prime in sorted({2, max(2, n // 4), n}):
+            state = _poisoned(kernel, n, len(llrs))
+            state.load(llrs)
+            for off, lam in _components(state, n_prime):
+                state.decide(off, decode_batch(lam, mask[off : off + n_prime], kernel))
+            assert np.array_equal(state.decisions(), want), (mask, n_prime)
+        state = _poisoned(kernel, n, len(llrs))
+        state.load(llrs)
+        for half in PipelinedDecoder(mask, kernel=kernel)._halves:
+            state.run(half)
+        assert np.array_equal(state.decisions(), want), mask
