@@ -84,21 +84,45 @@ def _bit_reversal(n):
     return perm
 
 
+# Butterfly stages h = 1, 2, 4 on the 8 bytes of a little-endian word: byte i ^=
+# byte i + h wherever i & h == 0, i.e. w ^= (w >> 8h) & mask, as (8h, mask).
+_WORD_STAGES = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0x00000000FFFFFFFF))
+)
+
+
+def _butterfly(x):
+    """
+    The natural-order butterfly, in place along the last axis of a C-contiguous
+    bit array (first half ^= second half at every scale). Rows of 8 or more
+    uint8 bits run as 64-bit words: the three stages inside a word as
+    shift-mask-XOR, the rest pairing whole words. The named byte order keeps
+    the word stages exact on any host.
+    """
+    n = x.shape[-1]
+    h = 1
+    if x.dtype == np.uint8 and n >= 8:
+        x = x.view("<u8")
+        for shift, mask in _WORD_STAGES:
+            x ^= (x >> shift) & mask
+        n //= 8
+    while h < n:
+        pairs = x.reshape(-1, n // (2 * h), 2, h)
+        pairs[:, :, 0] ^= pairs[:, :, 1]
+        h *= 2
+
+
 def _polar_transform(bits):
     """
     Polar transform along the last axis of a bit array (unchecked).
 
     The pair-combining recursion equals x = u·B_N·F^{⊗n}: one bit-reversal
-    of the input, then the natural-order butterfly (first half ^= second
-    half at every scale), done in place on the reversed copy.
+    of the input, then the natural-order butterfly, done in place on the
+    reversed copy.
     """
-    n = bits.shape[-1]
-    x = np.take(bits, _bit_reversal(n), axis=-1)
-    h = 1
-    while h < n:
-        pairs = x.reshape(-1, n // (2 * h), 2, h)
-        pairs[:, :, 0] ^= pairs[:, :, 1]
-        h *= 2
+    x = np.take(bits, _bit_reversal(bits.shape[-1]), axis=-1)
+    _butterfly(x)
     return x
 
 

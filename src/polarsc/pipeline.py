@@ -85,10 +85,8 @@ class PipelinedDecoder:
         """
         bank = None
         if llrs is not None:
-            # a rejected input raises here, before any register changes (one_frame refuses a frame that is not 1-D)
-            if np.ndim(llrs) == 1 and len(llrs) != self.n:
-                raise ValueError(f"expected {self.n} LLRs, got {len(llrs)}")
-            bank = StageRegisters(_State.one_frame(llrs, self.kernel))
+            # a rejected input raises here, before any register changes
+            bank = StageRegisters(_State.one_frame(llrs, self.kernel, self.n))
             bank.state.run(self._halves[0])
         visible, self._out_reg = self._out_reg, None
         # the banks shift one stage; the one that falls off the end (the new

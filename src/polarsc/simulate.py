@@ -1,4 +1,13 @@
-"""BPSK/AWGN channel model and a deterministic, parallelizable FER/BER harness."""
+"""BPSK/AWGN channel model and a deterministic, parallelizable FER/BER harness.
+
+A Monte Carlo chunk runs its stages in this order: data bits drawn from the
+chunk's stream and gathered into the data positions of ``u``; encode; the
+channel, worked in place on a noise draw from the same stream, a cached
+tile at a time (scaled, shifted by the +/-1 symbols and turned into LLRs);
+quantize, for a quantized kernel; decode; and a compare of whole rows, as
+frozen positions are 0 in ``u`` and in the decisions. Only ``u`` and the
+LLRs live on into the decoder.
+"""
 
 import io
 import math
@@ -36,11 +45,40 @@ class AwgnChannel:
         return 1.0 / (2.0 * self.rate * 10.0 ** (self.ebn0_db / 10.0))
 
 
+# Channel values worked at a time: a 256 KB tile of floats stays in cache
+# through every pass of the channel, where passes over a whole chunk go to memory.
+_CHANNEL_TILE = 1 << 15
+
+
+def _awgn(x, chan, rng, llrs):
+    """
+    Noisy BPSK observations of ``x``, or their LLRs when ``llrs``, worked in
+    place on the noise draw a tile at a time: the float operations of
+    ``symbols + sqrt(var) * noise`` and then ``2 * y / var``, in that order.
+    """
+    x = np.asarray(x)
+    var = chan.noise_variance
+    sigma = math.sqrt(var)
+    y = rng.standard_normal(x.shape)
+    flat, bits = y.reshape(-1), x.reshape(-1)
+    symbols = np.empty(min(_CHANNEL_TILE, flat.size))
+    for i in range(0, flat.size, _CHANNEL_TILE):
+        tile = flat[i : i + _CHANNEL_TILE]
+        sym = symbols[: len(tile)]
+        tile *= sigma
+        # 1 - 2x as -2x + 1: the same floats
+        np.multiply(bits[i : i + _CHANNEL_TILE], -2.0, out=sym, dtype=np.float64)
+        sym += 1.0
+        tile += sym
+        if llrs:
+            tile *= 2.0
+            tile /= var
+    return y
+
+
 def bpsk_observations(x, chan, rng):
     """Map bits to +/-1 symbols and add Gaussian noise of the channel's variance."""
-    x = np.asarray(x)
-    symbols = 1.0 - 2.0 * x.astype(np.float64)
-    return symbols + math.sqrt(chan.noise_variance) * rng.standard_normal(x.shape)
+    return _awgn(x, chan, rng, llrs=False)
 
 
 def observation_llrs(y, noise_variance):
@@ -49,8 +87,8 @@ def observation_llrs(y, noise_variance):
 
 
 def channel_llrs(x, chan, rng):
-    """Transmit a codeword over the AWGN channel and return its LLR vector."""
-    return observation_llrs(bpsk_observations(x, chan, rng), chan.noise_variance)
+    """Transmit a codeword over the AWGN channel and return its LLR vector (``observation_llrs`` of ``bpsk_observations``)."""
+    return _awgn(x, chan, rng, llrs=True)
 
 
 @dataclass(frozen=True)
@@ -110,16 +148,22 @@ def _chunk_counts(config, chan, point_index, chunk_index):
     trials = min(config.chunk_trials, config.max_trials - chunk_index * config.chunk_trials)
     ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(point_index, chunk_index))
     rng = np.random.Generator(np.random.Philox(ss))
-    mask, kernel = config.code.mask, config.kernel
-    data_idx = np.flatnonzero(mask)
-    u = np.zeros((trials, len(mask)), dtype=np.uint8)
-    data = rng.integers(0, 2, size=(trials, len(data_idx)), dtype=np.uint8)
-    u[:, data_idx] = data
-    llrs = channel_llrs(_polar_transform(u), chan, rng)  # u is 0/1 uint8 by construction
+    mask, kernel, k = config.code.mask, config.kernel, config.code.k
+    data = rng.integers(0, 2, size=(trials, k), dtype=np.uint8)
+    if k:
+        # column j takes data column (data positions up to j) - 1; frozen columns are then cleared
+        u = np.take(data, np.maximum(np.cumsum(mask, dtype=np.intp) - 1, 0), axis=1)
+        u &= mask
+    else:
+        u = np.zeros((trials, len(mask)), dtype=np.uint8)
+    del data  # only u lives on through decode
+    # u is 0/1 uint8 by construction; the codeword is not kept past the channel
+    llrs = channel_llrs(_polar_transform(u), chan, rng)
     if kernel.arithmetic == "quantized":
         llrs = quantize_batch(llrs, kernel.qformat)
     u_hat = decode_batch(llrs, mask, kernel)
-    diff = u_hat[:, data_idx] != data
+    # frozen positions are 0 in both, so whole rows compare as the data columns
+    diff = u_hat != u
     frame_errors = int(np.count_nonzero(diff.any(axis=1)))
     bit_errors = int(np.count_nonzero(diff))
     return trials, frame_errors, bit_errors

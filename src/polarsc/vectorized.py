@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .code import _as_bits, _bit_reversal, _polar_transform, _require_power_of_two
+from .code import _as_bits, _bit_reversal, _butterfly, _polar_transform, _require_power_of_two
 from .llr import QFormat, QLlr
 
 # Float frames decoded together. A block of words holds as many bytes of LLRs,
@@ -291,14 +291,28 @@ class _State:
         self.signs = np.array([1, -1], dtype=dtype)  # decision bit -> multiplier
 
     @classmethod
-    def one_frame(cls, llrs, kernel):
-        """A state loaded with one frame of channel LLRs: floats, or QLlr words of the quantized kernel's width."""
-        llrs = np.asarray(llrs)
-        if llrs.ndim != 1:
-            raise ValueError(f"expected a 1-D frame of LLRs, got shape {llrs.shape}")
-        if kernel.arithmetic == "quantized":
-            width = kernel.qformat.bits
-            if any(not isinstance(x, QLlr) or x.bits != width for x in llrs):
+    def one_frame(cls, llrs, kernel, n=None):
+        """
+        A state loaded with one frame of channel LLRs: floats, or QLlr words of
+        the quantized kernel's width. A frame whose length is not ``n``, when
+        given, is refused before its words are checked.
+        """
+        width = kernel.qformat.bits if kernel.arithmetic == "quantized" else None
+        # a list of words of the kernel's width is read as it is, where numpy
+        # would build an object array of it, probing each word
+        words = (
+            width is not None
+            and isinstance(llrs, (list, tuple))
+            and all(isinstance(x, QLlr) and x.bits == width for x in llrs)
+        )
+        if not words:
+            llrs = np.asarray(llrs)
+            if llrs.ndim != 1:
+                raise ValueError(f"expected a 1-D frame of LLRs, got shape {llrs.shape}")
+        if n is not None and len(llrs) != n:
+            raise ValueError(f"expected {n} LLRs, got {len(llrs)}")
+        if width is not None:
+            if not words and any(not isinstance(x, QLlr) or x.bits != width for x in llrs):
                 raise ValueError(f"quantized decode expects QLlr words of width {width}")
             llrs = np.array([x.value for x in llrs], dtype=np.int64)
         row = _checked(llrs[None], kernel)
@@ -374,8 +388,11 @@ class _State:
 
     def decide(self, off, bits):
         """Write a checked (frames, m) uint8 bit matrix as the decisions of the length-m node at ``off``."""
-        m = bits.shape[1]
-        self.mult[off : off + m] = self.signs[_polar_transform(bits)[:, _bit_reversal(m)].T]
+        # the node keeps its re-encoded bits bit-reversed, and the butterfly
+        # commutes with bit reversal, so the transform's reversal cancels it
+        m, enc = bits.shape[1], bits.copy()
+        _butterfly(enc)
+        self.mult[off : off + m] = self.signs[enc.T]
         self.u[off : off + m] = bits.T
 
     def decisions(self, out=None):

@@ -16,6 +16,7 @@ from polarsc import (
     load_mask,
     save_mask,
 )
+from polarsc.code import _bit_reversal, _polar_transform
 
 # pairs that are not 0/1 bits: a uint8 cast would wrap 256 to 0, truncate 0.5
 # and 1.5, and overflow on -1
@@ -38,6 +39,19 @@ def kernel_matrix(n):
 def oracle_encode(u):
     u = np.asarray(u, dtype=np.uint8)
     return (u @ kernel_matrix(len(u))) % 2
+
+
+def bytewise_transform(bits):
+    """The transform one byte per bit: bit-reversal, then first half ^= second
+    half at every scale on the last axis of a copy."""
+    n = bits.shape[-1]
+    x = np.ascontiguousarray(bits[..., _bit_reversal(n)])
+    h = 1
+    while h < n:
+        for start in range(0, n, 2 * h):
+            x[..., start : start + h] ^= x[..., start + h : start + 2 * h]
+        h *= 2
+    return x
 
 
 def bhattacharyya_by_index(n, index, design_erasure=0.5):
@@ -112,6 +126,18 @@ class TestEncode:
         u = rng.integers(0, 2, 2**exp, dtype=np.uint8)
         w = rng.integers(0, 2, 2**exp, dtype=np.uint8)
         assert np.array_equal(encode(u ^ w), encode(u) ^ encode(w))
+
+    @pytest.mark.parametrize("n", [2**e for e in range(13)])
+    def test_word_parallel_transform_matches_a_bytewise_butterfly(self, n):
+        rng = np.random.default_rng(n)
+        wide = rng.integers(0, 2, (3, 4, 2 * n), dtype=np.uint8)
+        before = wide.copy()
+        # 1-D, 2-D and 3-D inputs, and a strided one
+        for bits in (wide[0, 0, :n], wide[0, :, :n], wide[..., :n], wide[:, ::2, ::2]):
+            x = _polar_transform(bits)
+            assert x.shape == bits.shape and x.dtype == np.uint8
+            assert np.array_equal(x, bytewise_transform(bits))
+        assert np.array_equal(wide, before)  # the input is not written
 
     @pytest.mark.parametrize("bad", [3, 6, 12, 0])
     def test_rejects_non_power_of_two(self, bad):

@@ -9,6 +9,8 @@ from polarsc import (
     DecoderKernel,
     PipelinedDecoder,
     PipelineTimingModel,
+    QFormat,
+    QLlr,
     construct_frozen_mask,
     encode,
     pipeline_throughput,
@@ -179,6 +181,23 @@ class TestStateInvariants:
             with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(frame)}")):
                 pipe.step(frame)
         assert (pipe.cycle, pipe.in_flight) == (0, 0)
+
+    def test_checks_a_list_of_words_for_length_then_width(self):
+        kernel, mask = DecoderKernel.quantized(QFormat(5)), construct_frozen_mask(8, 4)
+        pipe = PipelinedDecoder(mask, stages=1, kernel=kernel)
+        q5, q4 = QLlr.from_value(-3, 5), QLlr.from_value(2, 4)
+        for frame, message in [
+            ([q5] * 2, "expected 8 LLRs, got 2"),
+            ([q4] * 2, "expected 8 LLRs, got 2"),
+            ([q5] * 7 + [q4], "QLlr words of width 5"),
+            ([[q5] * 8], "got shape (1, 8)"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                pipe.step(frame)
+        assert (pipe.cycle, pipe.in_flight) == (0, 0)
+        frame = [QLlr.from_value(v, 5) for v in (3, -1, 4, -1, 5, -9, 2, 6)]
+        pipe.step(frame)
+        assert np.array_equal(pipe.drain()[0], reference_decode(frame, mask, kernel)[0])
 
     @pytest.mark.parametrize("stages", [np.nan, 1.5])
     def test_rejects_non_integer_stages(self, stages):

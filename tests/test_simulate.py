@@ -1,5 +1,6 @@
 """Tests for the channel model and the Monte Carlo harness contracts."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,10 +14,19 @@ from polarsc import (
     SimConfig,
     channel_llrs,
     csv_text,
+    decode_batch,
+    encode_batch,
+    quantize_batch,
     run_point,
     run_sweep,
 )
-from polarsc.simulate import CSV_HEADER, bpsk_observations, observation_llrs
+from polarsc.simulate import CSV_HEADER, _chunk_counts, bpsk_observations, observation_llrs
+
+
+def two_step_observations(x, noise_variance, rng):
+    """Noisy BPSK observations from whole-array temporaries, for a seeded generator or a seed."""
+    noise = np.random.default_rng(rng).standard_normal(np.shape(x))
+    return (1.0 - 2.0 * np.asarray(x).astype(np.float64)) + math.sqrt(noise_variance) * noise
 
 
 class TestChannel:
@@ -57,6 +67,18 @@ class TestChannel:
     def test_rejects_eb_n0_without_a_finite_positive_variance(self, ebn0_db):
         with pytest.raises(ValueError, match="noise variance"):
             AwgnChannel(ebn0_db, 0.5)
+
+    # within one tile of the in-place channel, and over several with a partial last one
+    @pytest.mark.parametrize("shape", [(64,), (16, 32), (100_000,), (5, 20_000)])
+    @pytest.mark.parametrize("dtype", [np.uint8, bool, np.int64])
+    def test_channel_llrs_equal_the_two_step_channel_bit_for_bit(self, shape, dtype):
+        x = np.random.default_rng(9).integers(0, 2, shape[::-1]).astype(dtype).T  # strided when 2-D
+        chan = AwgnChannel(1.5, 0.5)
+        var = chan.noise_variance
+        llrs = channel_llrs(x, chan, np.random.default_rng(4))
+        assert llrs.shape == shape and llrs.dtype == np.float64
+        for y in (bpsk_observations(x, chan, np.random.default_rng(4)), two_step_observations(x, var, 4)):
+            assert np.array_equal(llrs.view(np.uint64), observation_llrs(y, var).view(np.uint64))
 
     def test_observations_have_unit_signal(self):
         rng = np.random.default_rng(1)
@@ -169,6 +191,45 @@ class TestRunPoint:
         )
         point = run_point(config, 2.0)
         assert point.trials == 512
+
+
+def reference_chunk_counts(config, chan, point_index, chunk_index):
+    """A chunk stage by stage: data columns scattered into zeros, encode_batch,
+    a channel of whole-array temporaries, decode, and a compare of the data columns alone."""
+    trials = min(config.chunk_trials, config.max_trials - chunk_index * config.chunk_trials)
+    ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(point_index, chunk_index))
+    rng = np.random.Generator(np.random.Philox(ss))
+    mask = config.code.mask
+    data_idx = np.flatnonzero(mask)
+    u = np.zeros((trials, len(mask)), dtype=np.uint8)
+    data = rng.integers(0, 2, size=(trials, len(data_idx)), dtype=np.uint8)
+    u[:, data_idx] = data
+    llrs = observation_llrs(two_step_observations(encode_batch(u), chan.noise_variance, rng), chan.noise_variance)
+    if config.kernel.arithmetic == "quantized":
+        llrs = quantize_batch(llrs, config.kernel.qformat)
+    diff = decode_batch(llrs, mask, config.kernel)[:, data_idx] != data
+    return trials, int(np.count_nonzero(diff.any(axis=1))), int(np.count_nonzero(diff))
+
+
+CHUNK_MASKS = {
+    "k=0": np.zeros(64, dtype=np.uint8),
+    "k=N": np.ones(64, dtype=np.uint8),
+    "rate-1/2": CodeSpec.construct(64, 32).mask,
+    "random": np.random.default_rng(2).integers(0, 2, 64, dtype=np.uint8),
+}
+
+
+@pytest.mark.parametrize("kernel", [DecoderKernel.min_sum(), DecoderKernel.quantized(QFormat(5))], ids=["minsum", "q5"])
+@pytest.mark.parametrize("mask", CHUNK_MASKS.values(), ids=CHUNK_MASKS.keys())
+def test_chunk_counts_equal_the_stage_by_stage_chunk(kernel, mask):
+    # 600 trials in chunks of 256: two full chunks and a partial last one
+    config = small_config(code=CodeSpec(64, mask), kernel=kernel, max_trials=600, chunk_trials=256)
+    chan = AwgnChannel(1.0, config.code.rate if config.code.k else 1.0)
+    for point_index, chunk_index in [(0, 0), (1, 1), (0, 2)]:
+        counts = _chunk_counts(config, chan, point_index, chunk_index)
+        assert counts == reference_chunk_counts(config, chan, point_index, chunk_index)
+        assert counts[0] == (88 if chunk_index == 2 else 256)
+        assert (counts[1] > 0) == (config.code.k > 0)  # errors at 1 dB, none with nothing sent
 
 
 class TestSweepAndCsv:
