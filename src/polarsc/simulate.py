@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .code import CodeSpec, _count, _finite, _polar_transform
+from .code import CodeSpec, _as_bits, _count, _finite, _polar_transform
 from .vectorized import DecoderKernel, decode_batch, quantize_batch
 
 CSV_HEADER = "snr_db,trials,frame_errors,bit_errors,fer,ber,ci95"
@@ -55,8 +55,9 @@ def _awgn(x, chan, rng, llrs):
     Noisy BPSK observations of ``x``, or their LLRs when ``llrs``, worked in
     place on the noise draw a tile at a time: the float operations of
     ``symbols + sqrt(var) * noise`` and then ``2 * y / var``, in that order.
+    ``x`` is checked for 0/1 entries at its own number of axes.
     """
-    x = np.asarray(x)
+    x = _as_bits(x, np.ndim(x), "codeword")
     var = chan.noise_variance
     sigma = math.sqrt(var)
     y = rng.standard_normal(x.shape)

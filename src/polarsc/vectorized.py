@@ -72,6 +72,9 @@ class DecoderKernel:
             raise ValueError(f"unknown decision mode {self.decision!r}")
         if (self.arithmetic == "quantized") != (self.qformat is not None):
             raise ValueError("quantized arithmetic requires a QFormat, and no other arithmetic takes one")
+        if self.qformat is not None:
+            # refused here, not at the first decode: the decode state must hold a g sum
+            _word_dtype(2 * self.qformat.max_magnitude)
 
     @classmethod
     def min_sum(cls, decision="shortcut"):
@@ -288,7 +291,6 @@ class _State:
         self.width = width = max(1, min(frames, BLOCK_FRAMES * 8 // np.dtype(dtype).itemsize))
         rows = ((2 * n, dtype), (n, dtype), (n, bool), (1, bool))
         self.storage = [np.empty((r, width), dtype=t) for r, t in rows]
-        self.signs = np.array([1, -1], dtype=dtype)  # decision bit -> multiplier
 
     @classmethod
     def one_frame(cls, llrs, kernel, n=None):
@@ -340,33 +342,44 @@ class _State:
         """
         Run a slice of a schedule on the loaded frames. A leaf reads a frozen
         decision, never written, as the False that ``load`` left: multiplier
-        +1. The f of a length-2h node at ``off`` borrows rows [0, h) of ``llr``
-        from finished subtrees, and rows [off, off + h) of ``mult`` (a leaf's
-        row ``off``) from its first child, whose leaf and zero steps write
-        each of them before any step reads it.
+        +1. It writes a decision d as the multiplier 1 - 2d in the word type,
+        and its first row as the product of its two, and under either rule the
+        odd bit is the sign of one value: the g sum b + (1 - 2 u0) a (plain),
+        or that product where |a| > |b| and b elsewhere (shortcut, the
+        hardware's compare and select). The f of a length-2h node at ``off``
+        borrows rows [0, h) of ``llr`` from finished subtrees, and rows
+        [off, off + h) of ``mult`` (a leaf's row ``off``) from its first
+        child, whose leaf and zero steps write each of them before any step
+        reads it.
         """
         llr, mult, u, flag = self.llr, self.mult, self.u, self.flag
-        f, clip, shortcut, signs = self.f, self.clip, self.shortcut, self.signs
+        f, clip, shortcut = self.f, self.clip, self.shortcut
         a, b = llr[2], llr[3]
         fv, y = llr[1], llr[0]
         for op in ops:
             kind = op[0]
             if kind == _LEAF:
                 _, _, off, a_even, a_odd = op
-                u0, u1, x = u[off], u[off + 1], mult[off]
+                u0, u1, x0, x1 = u[off], u[off + 1], mult[off], mult[off + 1]
                 if a_even:
-                    f(a, b, fv, x, y)
+                    f(a, b, fv, x0, y)
                     np.less(fv, 0, out=u0)
-                if a_odd and shortcut:
-                    # |a| > |b|: the sign of a XOR the even decision; else the sign of b
-                    np.greater(np.abs(a, out=x), np.abs(b, out=y), out=flag)
-                    np.less(np.where(flag, a, b), 0, out=u1)
-                    u1 ^= np.logical_and(u0, flag, out=flag)
-                elif a_odd:
-                    # saturation keeps the sign, so the unclipped sum decides
-                    np.less(np.where(u0, b - a, b + a), 0, out=u1)
-                np.take(signs, u1.view(np.uint8), out=mult[off + 1], mode="wrap")
-                np.take(signs, np.logical_xor(u0, u1, out=flag).view(np.uint8), out=x, mode="wrap")
+                # a decision d is the multiplier 1 - 2d, computed in the word type
+                np.multiply(u0, -2, out=x0, dtype=x0.dtype)
+                x0 += 1
+                if a_odd:
+                    # the odd bit is the sign of y = (1 - 2 u0) a, where shortcut
+                    # replaces y by b wherever |a| <= |b| (ties included), and
+                    # plain adds b: the unclipped g sum, whose sign saturation keeps
+                    np.multiply(x0, a, out=y)
+                    if shortcut:
+                        np.copyto(y, b, where=np.less_equal(np.abs(a, out=fv), np.abs(b, out=x1), out=flag))
+                    else:
+                        y += b
+                    np.less(y, 0, out=u1)
+                np.multiply(u1, -2, out=x1, dtype=x1.dtype)
+                x1 += 1
+                x0 *= x1
                 continue
             _, h, off = op
             if kind == _F:
@@ -392,7 +405,10 @@ class _State:
         # commutes with bit reversal, so the transform's reversal cancels it
         m, enc = bits.shape[1], bits.copy()
         _butterfly(enc)
-        self.mult[off : off + m] = self.signs[enc.T]
+        mult = self.mult[off : off + m]
+        # 1 - 2d in the word type: on the uint8 bits themselves it would wrap to 255
+        np.multiply(enc.T, -2, out=mult, dtype=mult.dtype)
+        mult += 1
         self.u[off : off + m] = bits.T
 
     def decisions(self, out=None):

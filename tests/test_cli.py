@@ -209,6 +209,14 @@ class TestEncodeDecodePipe:
         assert out == ""
         assert err.startswith("polarsc: error:")
 
+    def test_words_too_wide_for_int64_fail_before_any_frame(self, tmp_path, mask_file, capsys):
+        # no frame is read, so only the kernel's own check can refuse them
+        llr_in = tmp_path / "llrs.txt"
+        llr_in.write_text("")
+        code, out, err = run_cli(["decode", "--mask", str(mask_file), "--qbits", "64", "--in", str(llr_in)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("polarsc: error:") and "too wide for int64" in err
+
     def test_infinite_scale_fails(self, tmp_path, mask_file, capsys):
         llr_in = tmp_path / "llrs.txt"
         llr_in.write_text(" ".join(["1.0"] * 16) + "\n")

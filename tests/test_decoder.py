@@ -153,6 +153,14 @@ class TestKernelValidation:
             DecoderKernel(arithmetic, "shortcut", QFormat(5))
 
 
+    @pytest.mark.parametrize("decision", ["shortcut", "plain"])
+    def test_refuses_words_too_wide_for_the_decode_state(self, decision):
+        # a g sum of two 64-bit words overflows int64; one of two 63-bit words does not
+        with pytest.raises(ValueError, match="too wide for int64"):
+            DecoderKernel.quantized(QFormat(64), decision)
+        assert DecoderKernel.quantized(QFormat(63), decision).qformat.bits == 63
+
+
 class TestUnrolledOracle:
     def test_spec_example_instance(self):
         llrs = [-3.0, 1.0, 2.0, -4.0]

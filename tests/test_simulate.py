@@ -80,6 +80,14 @@ class TestChannel:
         for y in (bpsk_observations(x, chan, np.random.default_rng(4)), two_step_observations(x, var, 4)):
             assert np.array_equal(llrs.view(np.uint64), observation_llrs(y, var).view(np.uint64))
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    @pytest.mark.parametrize("shape", [(4,), (2, 2)])
+    @pytest.mark.parametrize("channel", [channel_llrs, bpsk_observations])
+    def test_refuses_codewords_that_are_not_bits(self, channel, shape, bad):
+        x = np.array([0, 1, bad, 0]).reshape(shape)
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            channel(x, AwgnChannel(1.0, 0.5), np.random.default_rng(0))
+
     def test_observations_have_unit_signal(self):
         rng = np.random.default_rng(1)
         chan = AwgnChannel(100.0, 1.0)

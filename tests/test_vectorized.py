@@ -614,3 +614,54 @@ def test_a_poisoned_state_decodes_as_a_clean_one(kernel, n):
         for half in PipelinedDecoder(mask, kernel=kernel)._halves:
             state.run(half)
         assert np.array_equal(state.decisions(), want), mask
+
+
+# 17- and 33-bit words are carried in int32 and int64 states
+WIDE_WORD_KERNELS = [DecoderKernel.quantized(QFormat(bits), d) for bits in (17, 33) for d in ("shortcut", "plain")]
+
+
+@pytest.mark.parametrize("kernel", WIDE_WORD_KERNELS, ids=str)
+def test_one_frame_models_and_a_poisoned_state_on_wide_words(kernel):
+    # the decisions of run and of decide at the int32 and int64 word types
+    for n in (4, 8):
+        test_one_frame_models_on_tie_heavy_words(kernel, n)
+    for n in (4, 32, 256):
+        test_a_poisoned_state_decodes_as_a_clean_one(kernel, n)
+
+
+@pytest.mark.parametrize("kernel", KERNELS[:1] + WORD_KERNELS + WIDE_WORD_KERNELS, ids=str)
+def test_decide_writes_the_multipliers_of_the_re_encoded_bits(kernel):
+    # a uint8 bit d would make 1 - 2d wrap to 255, which reads as a positive multiplier
+    n, m, frames = 16, 8, 5
+    bits = np.random.default_rng(m).integers(0, 2, (frames, m), dtype=np.uint8)
+    state = _poisoned(kernel, n, frames)
+    state.load(np.zeros((frames, n), dtype=np.float64 if kernel.qformat is None else np.int64))
+    state.decide(m, bits)
+    assert set(np.unique(state.mult[m : 2 * m])) == {-1, 1}
+    assert np.array_equal(state.node_bits(m, m), encode_batch(bits))
+    assert np.array_equal(state.decisions()[:, m:], bits)
+
+
+@pytest.mark.parametrize("kernel", KERNELS + WORD_KERNELS, ids=str)
+def test_a_run_allocates_less_than_two_rows(kernel):
+    # every step writes into the state's rows; a row of a full block is 8 KB,
+    # 1024 floats or 8192 int8 words, so one block-wide temporary takes as much
+    n = 1024
+    ops = _compile(construct_frozen_mask(n, n // 2), n)
+    state = _State(kernel, n, 10**6)
+    rng = np.random.default_rng(1024)
+    if kernel.qformat is None:
+        block = rng.normal(scale=2.0, size=(state.width, n))
+    else:
+        m = kernel.qformat.max_magnitude
+        block = rng.integers(-m, m + 1, (state.width, n), dtype=state.storage[0].dtype)
+    state.load(block)
+    state.run(ops)  # numpy keeps a little memory the first time it runs a loop
+    state.load(block)
+    tracemalloc.start()
+    try:
+        state.run(ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
