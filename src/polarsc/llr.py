@@ -19,7 +19,8 @@ def decide_odd(lam1, lam2, u_even, a_odd):
 
     Returns 0 for a frozen position; the sign of lam2 when |lam2| >= |lam1|;
     otherwise the sign of lam1 XORed with the preceding even decision. Agrees
-    with the sign of the variable-node update whenever |lam1| != |lam2|.
+    with the sign of the variable-node update wherever that sum is not 0: a
+    zero sum is a magnitude tie, where this takes the sign of lam2.
     """
     if a_odd == 0:
         return 0

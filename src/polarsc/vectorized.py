@@ -96,14 +96,18 @@ def encode_batch(u):
     return _polar_transform(u)
 
 
-def _floats(llrs):
-    """Integer or float LLRs as float64; strings, bools, complex and non-finite values are refused."""
+def _floats(llrs, bound=np.finfo(np.float64).max):
+    """
+    Integer or float LLRs as float64; strings, bools, complex, NaN and
+    magnitudes above ``bound`` (by default the non-finite ones) are refused.
+    """
     llrs = np.asarray(llrs)
     if llrs.dtype.kind not in "iuf":
         raise ValueError(f"LLRs must be integers or floats, got dtype {llrs.dtype}")
     llrs = llrs.astype(np.float64, copy=False)
-    if not np.isfinite(llrs).all():
-        raise ValueError("LLRs must be finite")
+    # a NaN fails both comparisons
+    if llrs.size and not (llrs.min() >= -bound and llrs.max() <= bound):
+        raise ValueError(f"LLRs must be finite, of magnitude at most {float(bound)!r}")
     return llrs
 
 
@@ -247,7 +251,11 @@ def _compile(mask, n):
 
 
 def _checked(llrs, kernel):
-    """Check a (frames, N) LLR matrix: float64 for float kernels, integer words in range otherwise."""
+    """
+    Check a (frames, N) LLR matrix: integer words in range for the quantized
+    kernel, otherwise float64 of magnitude at most the float maximum / N, so
+    that no sum of N of them, and so no g sum, overflows.
+    """
     llrs = np.asarray(llrs)
     if llrs.ndim != 2:
         raise ValueError(f"expected a (frames, N) matrix, got shape {llrs.shape}")
@@ -259,7 +267,7 @@ def _checked(llrs, kernel):
         if llrs.size and (llrs.min() < -clip or llrs.max() > clip):
             raise ValueError(f"quantized words must lie in [-{clip}, {clip}]")
         return llrs
-    return _floats(llrs)
+    return _floats(llrs, np.finfo(np.float64).max / llrs.shape[1])
 
 
 class _State:
@@ -271,8 +279,8 @@ class _State:
     Rows [m, 2m) of the level buffer ``llr`` hold the LLRs of the current
     length-m node, so the channel LLRs stay in rows [n, 2n). ``mult`` holds
     each finished node's re-encoded bits as +/-1 multipliers, in bit-reversed
-    order within the node, ``u`` the decisions and ``flag`` a bool per frame:
-    the whole datapath, as f borrows rows that no finished step needs. The
+    order within the node, and ``u`` the decisions: the whole datapath, as f
+    and the leaf borrow rows that no finished step needs. The
     accessors below give and take one row per loaded frame, in natural order.
     """
 
@@ -289,7 +297,7 @@ class _State:
         # the LLR bytes of a float block; at least one frame, since
         # decode_batch steps through a batch, even an empty one, by this width
         self.width = width = max(1, min(frames, BLOCK_FRAMES * 8 // np.dtype(dtype).itemsize))
-        rows = ((2 * n, dtype), (n, dtype), (n, bool), (1, bool))
+        rows = ((2 * n, dtype), (n, dtype), (n, bool))
         self.storage = [np.empty((r, width), dtype=t) for r, t in rows]
 
     @classmethod
@@ -328,9 +336,7 @@ class _State:
         # a block runs on the start of each buffer, so that its rows are
         # contiguous at any width and no numpy call copies them
         self.frames = k
-        self.llr, self.mult, self.u, (self.flag,) = (
-            a.ravel()[: len(a) * k].reshape(-1, k) for a in self.storage
-        )
+        self.llr, self.mult, self.u = (a.ravel()[: len(a) * k].reshape(-1, k) for a in self.storage)
         # transpose into the free lower levels, then gather the bit-reversed rows
         lower = self.llr[:n]
         for i in range(0, k, _TILE):
@@ -343,57 +349,58 @@ class _State:
         Run a slice of a schedule on the loaded frames. A leaf reads a frozen
         decision, never written, as the False that ``load`` left: multiplier
         +1. It writes a decision d as the multiplier 1 - 2d in the word type,
-        and its first row as the product of its two, and under either rule the
-        odd bit is the sign of one value: the g sum b + (1 - 2 u0) a (plain),
-        or that product where |a| > |b| and b elsewhere (shortcut, the
-        hardware's compare and select). The f of a length-2h node at ``off``
+        and its first row as the product of its two. Under either rule the odd
+        bit is the sign of the g sum b + (1 - 2 u0) a; the shortcut (the
+        hardware's compare and select) takes b's sign where that sum is 0,
+        which happens only where |a| = |b|. The f of a length-2h node at ``off``
         borrows rows [0, h) of ``llr`` from finished subtrees, and rows
         [off, off + h) of ``mult`` (a leaf's row ``off``) from its first
         child, whose leaf and zero steps write each of them before any step
         reads it.
         """
-        llr, mult, u, flag = self.llr, self.mult, self.u, self.flag
+        llr, mult, u = self.llr, self.mult, self.u
         f, clip, shortcut = self.f, self.clip, self.shortcut
         a, b = llr[2], llr[3]
         fv, y = llr[1], llr[0]
-        for op in ops:
-            kind = op[0]
-            if kind == _LEAF:
-                _, _, off, a_even, a_odd = op
-                u0, u1, x0, x1 = u[off], u[off + 1], mult[off], mult[off + 1]
-                if a_even:
-                    f(a, b, fv, x0, y)
-                    np.less(fv, 0, out=u0)
-                # a decision d is the multiplier 1 - 2d, computed in the word type
-                np.multiply(u0, -2, out=x0, dtype=x0.dtype)
-                x0 += 1
-                if a_odd:
-                    # the odd bit is the sign of y = (1 - 2 u0) a, where shortcut
-                    # replaces y by b wherever |a| <= |b| (ties included), and
-                    # plain adds b: the unclipped g sum, whose sign saturation keeps
-                    np.multiply(x0, a, out=y)
-                    if shortcut:
-                        np.copyto(y, b, where=np.less_equal(np.abs(a, out=fv), np.abs(b, out=x1), out=flag))
-                    else:
+        # a product in f may overflow to inf, which keeps its sign; no sum can (see _checked)
+        with np.errstate(over="ignore"):
+            for op in ops:
+                kind = op[0]
+                if kind == _LEAF:
+                    _, _, off, a_even, a_odd = op
+                    u0, u1, x0, x1 = u[off], u[off + 1], mult[off], mult[off + 1]
+                    if a_even:
+                        f(a, b, fv, x0, y)
+                        np.less(fv, 0, out=u0)
+                    # a decision d is the multiplier 1 - 2d, computed in the word type
+                    np.multiply(u0, -2, out=x0, dtype=x0.dtype)
+                    x0 += 1
+                    if a_odd:
+                        # the odd bit is the sign of the unclipped g sum y = b + (1 - 2 u0) a,
+                        # whose sign saturation keeps; y is 0 only at a magnitude tie,
+                        # where the shortcut (the hardware's compare and select) takes b
+                        np.multiply(x0, a, out=y)
                         y += b
-                    np.less(y, 0, out=u1)
-                np.multiply(u1, -2, out=x1, dtype=x1.dtype)
-                x1 += 1
-                x0 *= x1
-                continue
-            _, h, off = op
-            if kind == _F:
-                f(llr[2 * h : 3 * h], llr[3 * h : 4 * h], llr[h : 2 * h], mult[off : off + h], llr[:h])
-            elif kind == _G:
-                child = llr[h : 2 * h]
-                np.multiply(mult[off : off + h], llr[2 * h : 3 * h], out=child)
-                child += llr[3 * h : 4 * h]
-                if clip is not None:
-                    np.clip(child, -clip, clip, out=child)
-            elif kind == _COMBINE:
-                mult[off : off + h] *= mult[off + h : off + 2 * h]
-            else:
-                mult[off : off + 2 * h].fill(1)
+                        if shortcut:
+                            np.copyto(y, b, where=np.equal(y, 0, out=u1))
+                        np.less(y, 0, out=u1)
+                    np.multiply(u1, -2, out=x1, dtype=x1.dtype)
+                    x1 += 1
+                    x0 *= x1
+                    continue
+                _, h, off = op
+                if kind == _F:
+                    f(llr[2 * h : 3 * h], llr[3 * h : 4 * h], llr[h : 2 * h], mult[off : off + h], llr[:h])
+                elif kind == _G:
+                    child = llr[h : 2 * h]
+                    np.multiply(mult[off : off + h], llr[2 * h : 3 * h], out=child)
+                    child += llr[3 * h : 4 * h]
+                    if clip is not None:
+                        np.clip(child, -clip, clip, out=child)
+                elif kind == _COMBINE:
+                    mult[off : off + h] *= mult[off + h : off + 2 * h]
+                else:
+                    mult[off : off + 2 * h].fill(1)
 
     def node_bits(self, off, m):
         """The re-encoded bits of the finished length-m node at ``off``, (frames, m)."""

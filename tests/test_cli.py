@@ -217,6 +217,21 @@ class TestEncodeDecodePipe:
         assert code == 1 and out == ""
         assert err.startswith("polarsc: error:") and "too wide for int64" in err
 
+    @pytest.mark.parametrize("qbits", [0, 5])
+    def test_an_llr_above_the_float_bound_fails_unless_it_is_quantized(self, tmp_path, capsys, qbits):
+        # float max / 8 bounds a length-8 float frame; quantizing saturates the frame instead
+        mask_path = tmp_path / "mask8.txt"
+        run_cli(["construct", "--n", "8", "--k", "4", "--out", str(mask_path)], capsys)
+        llr_in = tmp_path / "llrs.txt"
+        llr_in.write_text("1e308 1e308 1e308 -1.7e308 0.0 -1e308 1.0 1e308\n")
+        argv = ["decode", "--mask", str(mask_path), "--in", str(llr_in), "--qbits", str(qbits)]
+        code, out, err = run_cli(argv, capsys)
+        if qbits:
+            assert code == 0 and len(out.split()) == 4
+            return
+        assert code == 1 and out == ""
+        assert err.startswith("polarsc: error:") and repr(float(np.finfo(np.float64).max / 8)) in err
+
     def test_infinite_scale_fails(self, tmp_path, mask_file, capsys):
         llr_in = tmp_path / "llrs.txt"
         llr_in.write_text(" ".join(["1.0"] * 16) + "\n")

@@ -42,6 +42,23 @@ def test_every_leaf_input(bits, mask, decision):
     assert np.array_equal(decode_batch(rows, mask, kernel), want)
 
 
+@pytest.mark.parametrize("mask", [(0, 1), (1, 1)])
+@pytest.mark.parametrize("bits", range(2, 9))
+def test_the_two_rules_differ_only_where_the_g_sum_is_0_and_b_is_negative(bits, mask):
+    # a zero g sum is a magnitude tie, where the shortcut takes b's sign and the
+    # plain rule the sign of 0; with a data even bit a tie gives u0 = sign(a)
+    # XOR sign(b), so the sum is 2b and the rules agree: the pairs are a = -b > 0
+    rows = _every_input(bits, 2)
+    frames = _words(rows, bits)
+    fmt = QFormat(bits)
+    shortcut, plain = (_reference(frames, mask, DecoderKernel.quantized(fmt, d)) for d in DECISIONS)
+    a, b = rows.T
+    g_sum = b + (1 - 2 * shortcut[:, 0].astype(int)) * a
+    differ = (shortcut != plain).any(axis=1)
+    assert np.array_equal(differ, (g_sum == 0) & (b < 0))
+    assert differ.sum() == (fmt.max_magnitude if mask == (0, 1) else 0)
+
+
 def _check_block(rows, bits, decision, sample, seed):
     """
     Every row through one decode_batch call per mask; a seeded sample of

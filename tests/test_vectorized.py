@@ -304,6 +304,64 @@ KERNELS = [
     for decision in ("shortcut", "plain")
 ]
 
+# the largest float LLR a length-8 frame may hold: no sum of 8 of them overflows
+BOUND8 = float(np.finfo(np.float64).max / 8)
+# above it, the frame's g sums reached +/-inf and inf - inf, and the engine disagreed with the reference
+OVERFLOWING_FRAME = [1e308, 1e308, 1e308, -1.7e308, 0.0, -1e308, 1.0, 1e308]
+OVERFLOWING_MASK = [1, 1, 0, 1, 0, 0, 1, 0]
+
+
+def _pipelined(frame, mask, kernel):
+    pipe = PipelinedDecoder(mask, stages=1, kernel=kernel)
+    return ([out for out in [pipe.step(frame)] if out is not None] + pipe.drain())[0]
+
+
+FLOAT_DECODERS = {
+    "decode_batch": lambda frame, mask, kernel: decode_batch(np.array([frame]), mask, kernel)[0],
+    "decode": decode,
+    "pipeline_step": _pipelined,
+    "hybrid_decode_2": lambda frame, mask, kernel: hybrid_decode(frame, mask, 2, kernel),
+    "hybrid_decode_4": lambda frame, mask, kernel: hybrid_decode(frame, mask, 4, kernel),
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=str)
+@pytest.mark.parametrize("entry", FLOAT_DECODERS.values(), ids=FLOAT_DECODERS.keys())
+def test_llrs_at_the_bound_decode_like_the_reference_without_a_warning(entry, kernel):
+    # the overflowing frame scaled to the bound, and frames of +/-bound, half of it, 0 and 1:
+    # products in f overflow to inf, and sums of up to 8 of them reach the float maximum
+    rng = np.random.default_rng(8)
+    frames = [[BOUND8 if v > 1 else -BOUND8 if v < -1 else v for v in OVERFLOWING_FRAME]]
+    frames += rng.choice([BOUND8, -BOUND8, BOUND8 / 2, -BOUND8 / 2, 0.0, 1.0, -1.0], (12, 8)).tolist()
+    for mask in (OVERFLOWING_MASK, [1] * 8, construct_frozen_mask(8, 4)):
+        for frame in frames:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = entry(np.array(frame), mask, kernel)
+            assert np.array_equal(got, reference_decode(frame, mask, kernel)[0]), (mask, frame)
+
+
+FLOAT_ENTRY_POINTS = {name: entry for name, entry in LLR_ENTRY_POINTS.items() if name != "quantize_batch"}
+
+
+@pytest.mark.parametrize("entry", FLOAT_ENTRY_POINTS.values(), ids=FLOAT_ENTRY_POINTS.keys())
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_float_llr_above_the_bound_is_refused_with_the_bound(entry, sign):
+    bound = float(np.finfo(np.float64).max / 4)
+    with pytest.raises(ValueError, match=re.escape(f"magnitude at most {bound!r}")):
+        entry([0.5, -1.0, sign * np.nextafter(bound, np.inf), 2.0])
+
+
+def test_the_overflowing_frame_is_refused_and_the_bound_scales_with_n():
+    with pytest.raises(ValueError, match=re.escape(repr(BOUND8))):
+        decode_batch(np.array([OVERFLOWING_FRAME]), OVERFLOWING_MASK)
+    with pytest.raises(ValueError, match=re.escape(repr(BOUND8))):
+        decode_batch(np.array([[np.nextafter(BOUND8, np.inf)] * 8]), [1] * 8)
+    # at N = 2 the same value is within the bound
+    decode_batch(np.array([[np.nextafter(BOUND8, np.inf), 0.0]]), [1, 1])
+    # quantize_batch saturates every finite value, so it refuses only non-finite ones
+    quantize_batch(np.array([OVERFLOWING_FRAME]), Q5)
+
 
 def _assert_rows_match_scalar(llrs, mask, kernel):
     batch = decode_batch(llrs, mask, kernel)
@@ -400,12 +458,12 @@ def test_a_block_holds_the_llr_bytes_of_a_float_block():
 
 @pytest.mark.parametrize("word,per_position", [("float", 25), ("int8", 4)])
 def test_a_block_state_is_the_datapath_alone(word, per_position):
-    # per frame and position: 2 level LLRs, 1 multiplier and 1 decision; per
-    # frame one flag. f borrows rows of these, so there is no scratch buffer
+    # per frame and position: 2 level LLRs, 1 multiplier and 1 decision. f and
+    # the leaf borrow rows of these, so there is no scratch buffer or flag row
     kernel, width = WORD_BLOCKS[word]
     n = 64
     state = _State(kernel, n, 10**6)
-    assert sum(a.nbytes for a in state.storage) == width * (per_position * n + 1)
+    assert sum(a.nbytes for a in state.storage) == width * per_position * n
 
 
 def test_a_partial_block_allocates_no_block_sized_temporary():
@@ -440,6 +498,23 @@ def test_scalar_and_batched_f_agree_bit_for_bit(scalar, batched):
     batched(a, b, out, x, y)
     want = np.array([scalar(float(p), float(q)) for p, q in zip(a, b)])
     assert np.array_equal(out.view(np.int64), want.view(np.int64))
+
+
+# every leaf input class in floats: signed zeros, the smallest subnormal, a
+# product that underflows, sums that round to 0 or cancel, and +/-(float max / 2),
+# the bound at N = 2, whose products overflow and whose sums reach the float maximum
+LEAF_GRID = [v for m in (0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, float(np.finfo(np.float64).max / 2)) for v in (m, -m)]
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=str)
+@pytest.mark.parametrize("mask", [(0, 1), (1, 0), (1, 1)])
+def test_every_float_leaf_input_on_a_grid(kernel, mask):
+    frames = list(itertools.product(LEAF_GRID, repeat=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = decode_batch(np.array(frames), mask, kernel)
+    want = np.array([reference_decode(list(frame), mask, kernel)[0] for frame in frames])
+    assert np.array_equal(got, want)
 
 
 def _tie_heavy(rng, frames, n, kernel=None):
