@@ -55,6 +55,9 @@ def f_minsum(l1, l2):
     The result magnitude is exactly min(|l1|, |l2|). Its sign is that of
     l1 * l2, also for a zero result, as in the batched kernel.
     """
+    # a product of Python floats overflows to inf, which keeps its sign, without
+    # the warning that one of numpy scalars gives
+    l1, l2 = float(l1), float(l2)
     return math.copysign(min(abs(l1), abs(l2)), l1 * l2)
 
 
@@ -65,6 +68,7 @@ def f_exact(l1, l2):
     Evaluated in the log domain (min-sum term plus two correction terms) so
     the result stays finite even where tanh saturates in double precision.
     """
+    l1, l2 = float(l1), float(l2)  # as in f_minsum: no numpy scalar overflows with a warning
     a, b = abs(l1), abs(l2)
     lo, hi = (a, b) if a <= b else (b, a)
     # numpy's exp and log1p, not math's: they can differ in the last place, and

@@ -3,10 +3,11 @@
 A Monte Carlo chunk runs its stages in this order: data bits drawn from the
 chunk's stream and gathered into the data positions of ``u``; encode; the
 channel, worked in place on a noise draw from the same stream, a cached
-tile at a time (scaled, shifted by the +/-1 symbols and turned into LLRs);
-quantize, for a quantized kernel; decode; and a compare of whole rows, as
-frozen positions are 0 in ``u`` and in the decisions. Only ``u`` and the
-LLRs live on into the decoder.
+tile at a time (scaled, shifted by the +/-1 symbols, turned into LLRs and,
+for a quantized kernel, quantized into words before the tile leaves the
+cache); decode; and a compare of whole rows, as frozen positions are 0 in
+``u`` and in the decisions. Only ``u`` and the LLRs or words live on into
+the decoder.
 """
 
 import io
@@ -20,7 +21,7 @@ from typing import Tuple
 import numpy as np
 
 from .code import CodeSpec, _as_bits, _count, _finite, _polar_transform
-from .vectorized import DecoderKernel, decode_batch, quantize_batch
+from .vectorized import _FLAT_TILE, DecoderKernel, _quantize_tile, _word_dtype, decode_batch
 
 CSV_HEADER = "snr_db,trials,frame_errors,bit_errors,fer,ber,ci95"
 
@@ -45,36 +46,42 @@ class AwgnChannel:
         return 1.0 / (2.0 * self.rate * 10.0 ** (self.ebn0_db / 10.0))
 
 
-# Channel values worked at a time: a 256 KB tile of floats stays in cache
-# through every pass of the channel, where passes over a whole chunk go to memory.
-_CHANNEL_TILE = 1 << 15
-
-
-def _awgn(x, chan, rng, llrs):
+def _awgn(x, chan, rng, llrs, fmt=None):
     """
     Noisy BPSK observations of ``x``, or their LLRs when ``llrs``, worked in
     place on the noise draw a tile at a time: the float operations of
     ``symbols + sqrt(var) * noise`` and then ``2 * y / var``, in that order.
-    ``x`` is checked for 0/1 entries at its own number of axes.
+    LLRs beyond the float range are refused. Given a QFormat ``fmt``, each
+    tile of LLRs is quantized while it is in cache, and the words are
+    returned, as ``quantize_batch`` gives them. ``x`` is checked for 0/1
+    entries at its own number of axes.
     """
     x = _as_bits(x, np.ndim(x), "codeword")
     var = chan.noise_variance
     sigma = math.sqrt(var)
     y = rng.standard_normal(x.shape)
-    flat, bits = y.reshape(-1), x.reshape(-1)
-    symbols = np.empty(min(_CHANNEL_TILE, flat.size))
-    for i in range(0, flat.size, _CHANNEL_TILE):
-        tile = flat[i : i + _CHANNEL_TILE]
-        sym = symbols[: len(tile)]
-        tile *= sigma
-        # 1 - 2x as -2x + 1: the same floats
-        np.multiply(bits[i : i + _CHANNEL_TILE], -2.0, out=sym, dtype=np.float64)
-        sym += 1.0
-        tile += sym
-        if llrs:
-            tile *= 2.0
-            tile /= var
-    return y
+    out = y if fmt is None else np.empty(x.shape, dtype=_word_dtype(fmt.max_magnitude))
+    flat, bits, words = y.reshape(-1), x.reshape(-1), out.reshape(-1)
+    symbols = np.empty(min(_FLAT_TILE, flat.size))
+    try:
+        # only 2y / var can overflow: at a variance below about 1e-308
+        with np.errstate(over="raise"):
+            for i in range(0, flat.size, _FLAT_TILE):
+                tile = flat[i : i + _FLAT_TILE]
+                sym = symbols[: len(tile)]
+                tile *= sigma
+                # 1 - 2x as -2x + 1: the same floats
+                np.multiply(bits[i : i + _FLAT_TILE], -2.0, out=sym, dtype=np.float64)
+                sym += 1.0
+                tile += sym
+                if llrs:
+                    tile *= 2.0
+                    tile /= var
+                    if fmt is not None:  # the symbols are spent, so their buffer is the scratch
+                        _quantize_tile(tile, fmt, words[i : i + _FLAT_TILE], sym)
+    except FloatingPointError:
+        raise ValueError(f"channel LLRs at Eb/N0 {chan.ebn0_db} dB are beyond the float range") from None
+    return out
 
 
 def bpsk_observations(x, chan, rng):
@@ -88,7 +95,11 @@ def observation_llrs(y, noise_variance):
 
 
 def channel_llrs(x, chan, rng):
-    """Transmit a codeword over the AWGN channel and return its LLR vector (``observation_llrs`` of ``bpsk_observations``)."""
+    """
+    Transmit a codeword over the AWGN channel and return its LLR vector
+    (``observation_llrs`` of ``bpsk_observations``); a channel whose LLRs
+    overflow the float range is refused.
+    """
     return _awgn(x, chan, rng, llrs=True)
 
 
@@ -158,10 +169,9 @@ def _chunk_counts(config, chan, point_index, chunk_index):
     else:
         u = np.zeros((trials, len(mask)), dtype=np.uint8)
     del data  # only u lives on through decode
-    # u is 0/1 uint8 by construction; the codeword is not kept past the channel
-    llrs = channel_llrs(_polar_transform(u), chan, rng)
-    if kernel.arithmetic == "quantized":
-        llrs = quantize_batch(llrs, kernel.qformat)
+    # u is 0/1 uint8 by construction; the codeword is not kept past the channel,
+    # which quantizes its LLRs for a quantized kernel
+    llrs = _awgn(_polar_transform(u), chan, rng, llrs=True, fmt=kernel.qformat)
     u_hat = decode_batch(llrs, mask, kernel)
     # frozen positions are 0 in both, so whole rows compare as the data columns
     diff = u_hat != u

@@ -43,6 +43,11 @@ BLOCK_FRAMES = 1024
 # cache while it is transposed, where a whole block's transpose does not.
 _TILE = 64
 
+# Values of a flat array worked at a time by the channel and the quantizer: a
+# 256 KB tile of floats stays in cache through every pass over it, where passes
+# over a whole Monte Carlo chunk go to memory.
+_FLAT_TILE = 1 << 15
+
 _F, _G, _COMBINE, _LEAF, _ZERO = range(5)
 
 _ARITHMETICS = ("minsum", "exact", "quantized")
@@ -111,15 +116,15 @@ def _floats(llrs, bound=np.finfo(np.float64).max):
     return llrs
 
 
-def quantize_batch(llrs, fmt):
+def _quantize_tile(src, fmt, dst, scratch):
     """
-    Quantize float LLRs to sign-magnitude words, as signed integers of the narrowest
-    type that holds the format's maximum magnitude: int8 up to 8 bits, int16 up to 16,
-    int32 up to 32, int64 above.
+    Quantize a tile of float LLRs ``src`` into the words ``dst``, worked in the
+    float buffer ``scratch``; all three are 1-D and of one length. The magnitude
+    |llr| * scale + 0.5 is floored and saturated at the format's maximum, then
+    takes the LLR's sign and is cast to the word type.
     """
-    llrs = _floats(llrs)
     top = fmt.max_magnitude
-    mag = np.abs(llrs, out=np.empty_like(llrs))  # an array, also for a 0-d input
+    mag = np.abs(src, out=scratch)
     with np.errstate(over="ignore"):  # a product that overflows to inf saturates below
         mag *= fmt.scale
     mag += 0.5
@@ -128,9 +133,25 @@ def quantize_batch(llrs, fmt):
     # float below float(top) exceeds top; a negative that rounds to 0 is -0.0, the word 0
     over = mag >= top
     mag[over] = 0.0
-    words = np.copysign(mag, llrs, out=mag).astype(_word_dtype(top))
-    words[over] = top
-    words[over & (llrs < 0)] = -top
+    np.copysign(mag, src, out=mag)
+    dst[...] = mag
+    dst[over] = np.where(src[over] < 0, -top, top)
+
+
+def quantize_batch(llrs, fmt):
+    """
+    Quantize float LLRs to sign-magnitude words, as signed integers of the narrowest
+    type that holds the format's maximum magnitude: int8 up to 8 bits, int16 up to 16,
+    int32 up to 32, int64 above. The values are quantized ``_FLAT_TILE`` at a time,
+    by the kernel that the Monte Carlo channel runs on each tile of its LLRs.
+    """
+    llrs = _floats(llrs)
+    words = np.empty(llrs.shape, dtype=_word_dtype(fmt.max_magnitude))
+    flat, out = llrs.reshape(-1), words.reshape(-1)
+    scratch = np.empty(min(_FLAT_TILE, flat.size))
+    for i in range(0, flat.size, _FLAT_TILE):
+        tile = flat[i : i + _FLAT_TILE]
+        _quantize_tile(tile, fmt, out[i : i + _FLAT_TILE], scratch[: len(tile)])
     return words
 
 
@@ -292,6 +313,8 @@ class _State:
         else:
             self.clip, dtype = None, np.float64
             self.f = _f_minsum if kernel.arithmetic == "minsum" else _f_exact
+        # a 0-d zero of the word type spares the leaf's compares a Python 0's conversion
+        self.zero = np.zeros((), dtype)
         self.shortcut = kernel.decision == "shortcut"
         self.n = n
         # the LLR bytes of a float block; at least one frame, since
@@ -359,7 +382,7 @@ class _State:
         reads it.
         """
         llr, mult, u = self.llr, self.mult, self.u
-        f, clip, shortcut = self.f, self.clip, self.shortcut
+        f, clip, zero, shortcut = self.f, self.clip, self.zero, self.shortcut
         a, b = llr[2], llr[3]
         fv, y = llr[1], llr[0]
         # a product in f may overflow to inf, which keeps its sign; no sum can (see _checked)
@@ -371,7 +394,7 @@ class _State:
                     u0, u1, x0, x1 = u[off], u[off + 1], mult[off], mult[off + 1]
                     if a_even:
                         f(a, b, fv, x0, y)
-                        np.less(fv, 0, out=u0)
+                        np.less(fv, zero, out=u0)
                     # a decision d is the multiplier 1 - 2d, computed in the word type
                     np.multiply(u0, -2, out=x0, dtype=x0.dtype)
                     x0 += 1
@@ -382,8 +405,8 @@ class _State:
                         np.multiply(x0, a, out=y)
                         y += b
                         if shortcut:
-                            np.copyto(y, b, where=np.equal(y, 0, out=u1))
-                        np.less(y, 0, out=u1)
+                            np.copyto(y, b, where=np.equal(y, zero, out=u1))
+                        np.less(y, zero, out=u1)
                     np.multiply(u1, -2, out=x1, dtype=x1.dtype)
                     x1 += 1
                     x0 *= x1

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,15 @@ class TestSimulate:
         code, out, err = run_cli(["simulate", "--mask", str(mask_file), "--snr", snr], capsys)
         assert code == 1 and out == ""
         assert err.startswith("polarsc: error: noise variance")
+
+    @pytest.mark.parametrize("qbits", ["0", "5"])
+    def test_snr_whose_channel_llrs_overflow_fails_without_a_warning(self, mask_file, capsys, qbits):
+        argv = ["simulate", "--mask", str(mask_file), "--snr", "3080", "--max-trials", "64", "--qbits", qbits]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err == "polarsc: error: channel LLRs at Eb/N0 3080.0 dB are beyond the float range\n"
 
     def test_exact_kernel(self, tmp_path, mask_file, capsys):
         out_csv = tmp_path / "fer.csv"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,17 @@ class TestFExact:
         expected = sign_bit(l1) ^ sign_bit(l2)
         assert sign_bit(f_minsum(l1, l2)) == expected
         assert sign_bit(f_exact(l1, l2)) == expected
+
+
+@pytest.mark.parametrize("f", [f_minsum, f_exact])
+@pytest.mark.parametrize("a, b", [(1e200, 1e200), (1e200, -1e200), (-1.7e308, -1.7e308), (1e-200, -0.0)])
+def test_numpy_scalars_give_the_python_float_result_without_a_warning(f, a, b):
+    # the sign product overflows or underflows; on numpy scalars it warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = f(np.float64(a), np.float64(b))
+    assert type(got) is float
+    assert math.copysign(1.0, got) == math.copysign(1.0, f(a, b)) and got == f(a, b)
 
 
 class TestG:

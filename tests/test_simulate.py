@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from polarsc import (
     run_point,
     run_sweep,
 )
-from polarsc.simulate import CSV_HEADER, _chunk_counts, bpsk_observations, observation_llrs
+from polarsc.simulate import CSV_HEADER, _awgn, _chunk_counts, bpsk_observations, observation_llrs
+from polarsc.vectorized import _FLAT_TILE
 
 
 def two_step_observations(x, noise_variance, rng):
@@ -87,6 +89,37 @@ class TestChannel:
         x = np.array([0, 1, bad, 0]).reshape(shape)
         with pytest.raises(ValueError, match="entries must be 0 or 1"):
             channel(x, AwgnChannel(1.0, 0.5), np.random.default_rng(0))
+
+    # one tile, and several with a partial last one; each width at a scale where it
+    # saturates at an LLR of about 4, so both saturated and unsaturated words occur
+    @pytest.mark.parametrize("shape", [(64,), (16, 32), (100_000,), (5, 20_000)])
+    @pytest.mark.parametrize(
+        "fmt",
+        [QFormat(bits, 2.0 ** (bits - 3)) for bits in (2, 5, 8, 9, 16, 33, 55, 64)] + [QFormat(5, 1e308)],
+        ids=str,
+    )
+    def test_channel_words_equal_quantize_batch_of_channel_llrs_bit_for_bit(self, shape, fmt):
+        x = np.random.default_rng(9).integers(0, 2, shape[::-1]).astype(np.uint8).T  # strided when 2-D
+        chan = AwgnChannel(1.5, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            words = _awgn(x, chan, np.random.default_rng(4), llrs=True, fmt=fmt)
+        want = quantize_batch(channel_llrs(x, chan, np.random.default_rng(4)), fmt)
+        assert words.shape == shape and words.dtype == want.dtype
+        assert np.array_equal(words, want)
+        assert np.abs(words).max() == fmt.max_magnitude  # some words saturate
+
+    @pytest.mark.parametrize("fmt", [None, QFormat(5)], ids=["llrs", "q5"])
+    def test_a_channel_whose_llrs_overflow_is_refused_without_a_warning(self, fmt):
+        # at 3080 dB and rate 1/2 the noise variance is 1e-308, so 2y / var passes the float maximum
+        chan = AwgnChannel(3080.0, 0.5)
+        x = np.zeros((4, 8), dtype=np.uint8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Eb/N0 3080.0 dB"):
+                _awgn(x, chan, np.random.default_rng(0), llrs=True, fmt=fmt)
+            # observations stay finite
+            assert np.all(bpsk_observations(x, chan, np.random.default_rng(0)) == 1.0)
 
     def test_observations_have_unit_signal(self):
         rng = np.random.default_rng(1)
@@ -238,6 +271,27 @@ def test_chunk_counts_equal_the_stage_by_stage_chunk(kernel, mask):
         assert counts == reference_chunk_counts(config, chan, point_index, chunk_index)
         assert counts[0] == (88 if chunk_index == 2 else 256)
         assert (counts[1] > 0) == (config.code.k > 0)  # errors at 1 dB, none with nothing sent
+
+
+@pytest.mark.parametrize("kernel", [DecoderKernel.min_sum(), DecoderKernel.quantized(QFormat(5))], ids=["minsum", "q5"])
+def test_chunk_counts_spanning_several_channel_tiles_equal_the_stage_by_stage_chunk(kernel):
+    # a full chunk of 2048 trials and a partial one of 1600, at N = 64: 4 and 3.125 channel tiles
+    config = small_config(code=CodeSpec.construct(64, 32), kernel=kernel, max_trials=3648, chunk_trials=2048)
+    chan = AwgnChannel(1.0, 0.5)
+    for chunk_index, trials in [(0, 2048), (1, 1600)]:
+        assert trials * 64 > 3 * _FLAT_TILE
+        counts = _chunk_counts(config, chan, 0, chunk_index)
+        assert counts == reference_chunk_counts(config, chan, 0, chunk_index)
+        assert counts[0] == trials and counts[1] > 0
+
+
+@pytest.mark.parametrize("kernel", [DecoderKernel.min_sum(), DecoderKernel.quantized(QFormat(5))], ids=["minsum", "q5"])
+def test_a_point_whose_channel_llrs_overflow_is_refused_without_a_warning(kernel):
+    config = small_config(kernel=kernel, snr_db=(3080.0,), max_trials=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"channel LLRs at Eb/N0 3080\.0 dB are beyond the float range"):
+            run_point(config, 3080.0)
 
 
 class TestSweepAndCsv:

@@ -341,6 +341,20 @@ def test_llrs_at_the_bound_decode_like_the_reference_without_a_warning(entry, ke
             assert np.array_equal(got, reference_decode(frame, mask, kernel)[0]), (mask, frame)
 
 
+@pytest.mark.parametrize("kernel", KERNELS, ids=str)
+def test_the_reference_decodes_float64_rows_at_the_bound_without_a_warning(kernel):
+    # rows of a float64 array, not lists of Python floats: f's sign products overflow on numpy scalars
+    rng = np.random.default_rng(8)
+    frames = np.array([[BOUND8 if v > 1 else -BOUND8 if v < -1 else v for v in OVERFLOWING_FRAME]])
+    frames = np.concatenate([frames, rng.choice([BOUND8, -BOUND8, BOUND8 / 2, -BOUND8 / 2, 0.0, 1.0], (12, 8))])
+    for mask in (OVERFLOWING_MASK, [1] * 8, construct_frozen_mask(8, 4)):
+        for row in frames:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = reference_decode(row, mask, kernel)[0]
+            assert np.array_equal(got, reference_decode(row.tolist(), mask, kernel)[0]), (mask, row)
+
+
 FLOAT_ENTRY_POINTS = {name: entry for name, entry in LLR_ENTRY_POINTS.items() if name != "quantize_batch"}
 
 
