@@ -50,15 +50,15 @@ def decide_even_simplified(l0, l1, l2, l3, a_even):
 
 def f_minsum(l1, l2):
     """
-    Min-sum check-node update: sign product times magnitude minimum.
+    Min-sum check-node update sign(l1) sign(l2) min(|l1|, |l2|), as one
+    compare and select: max(min(l1, l2), -max(l1, l2)).
 
-    The result magnitude is exactly min(|l1|, |l2|). Its sign is that of
-    l1 * l2, also for a zero result, as in the batched kernel.
+    Of equal operands it picks as numpy's ``minimum`` and ``maximum`` do, so
+    that the result, also the sign of a zero, is the batched kernel's.
     """
-    # a product of Python floats overflows to inf, which keeps its sign, without
-    # the warning that one of numpy scalars gives
     l1, l2 = float(l1), float(l2)
-    return math.copysign(min(abs(l1), abs(l2)), l1 * l2)
+    # Python's min and max return their first operand on a tie, numpy's their second
+    return max(-max(l2, l1), min(l2, l1))
 
 
 def f_exact(l1, l2):
@@ -68,7 +68,9 @@ def f_exact(l1, l2):
     Evaluated in the log domain (min-sum term plus two correction terms) so
     the result stays finite even where tanh saturates in double precision.
     """
-    l1, l2 = float(l1), float(l2)  # as in f_minsum: no numpy scalar overflows with a warning
+    # a product of Python floats overflows to inf, which keeps its sign, without
+    # the warning that one of numpy scalars gives
+    l1, l2 = float(l1), float(l2)
     a, b = abs(l1), abs(l2)
     lo, hi = (a, b) if a <= b else (b, a)
     # numpy's exp and log1p, not math's: they can differ in the last place, and

@@ -172,7 +172,10 @@ def _chunk_counts(config, chan, point_index, chunk_index):
     # u is 0/1 uint8 by construction; the codeword is not kept past the channel,
     # which quantizes its LLRs for a quantized kernel
     llrs = _awgn(_polar_transform(u), chan, rng, llrs=True, fmt=kernel.qformat)
-    u_hat = decode_batch(llrs, mask, kernel)
+    try:
+        u_hat = decode_batch(llrs, mask, kernel)
+    except ValueError as exc:  # finite float LLRs above the decoder's bound, float max / N
+        raise ValueError(f"channel LLRs at Eb/N0 {chan.ebn0_db} dB are out of the decoder's range: {exc}") from None
     # frozen positions are 0 in both, so whole rows compare as the data columns
     diff = u_hat != u
     frame_errors = int(np.count_nonzero(diff.any(axis=1)))

@@ -6,9 +6,11 @@ per frozen mask. Frames sit in the last axis of an (N, frames) block, the
 channel LLRs are bit-reversed on entry so that every node reads its two
 halves as contiguous row ranges, and each node hands its re-encoded bits up
 as +/-1 multipliers, so the variable-node update is one multiply and one add.
-A fully frozen subtree is one step that sets its multipliers to +1, and
-quantized words are carried in the narrowest integer type that holds a g sum
-(int8 up to 7-bit words). A block holds the LLR bytes of ``BLOCK_FRAMES``
+The min-sum check-node update, on floats and words alike, is one compare and
+select, max(min(a, b), -max(a, b)), so no step multiplies two LLRs. A fully
+frozen subtree is one step that sets its multipliers to +1, and quantized
+words are carried in the narrowest integer type that holds a g sum (int8 up
+to 7-bit words). A block holds the LLR bytes of ``BLOCK_FRAMES``
 float frames, so narrower words decode more frames per numpy call, and it is
 filled and emptied ``_TILE`` frames at a time.
 
@@ -227,9 +229,12 @@ def _components(state, n_prime):
 
 
 def _f_minsum(a, b, out, x, y):
-    np.minimum(np.abs(a, out=x), np.abs(b, out=y), out=out)
-    # the sign of a product is the XOR of the signs even when it underflows
-    np.copysign(out, np.multiply(a, b, out=x), out=out)
+    """
+    Min-sum f on floats or integer words, as one compare and select:
+    sign(a) sign(b) min(|a|, |b|) = max(min(a, b), -max(a, b)).
+    """
+    np.minimum(a, b, out=out)
+    np.maximum(out, np.negative(np.maximum(a, b, out=x), out=x), out=out)
 
 
 def _f_exact(a, b, out, x, y):
@@ -243,16 +248,10 @@ def _f_exact(a, b, out, x, y):
     mag = np.subtract(np.add(near, lo, out=y), far, out=y)
     # clamp to [0, lo] as the scalar kernel does; lo stays in out
     np.maximum(np.minimum(mag, lo, out=out), 0.0, out=out)
-    # the sign of a * b, also for a zero result, as in the scalar kernel
-    np.multiply(np.copysign(1.0, np.multiply(a, b, out=x), out=x), out, out=out)
-
-
-def _f_words(a, b, out, x, y):
-    """Min-sum f on integer words; the sign is the top bit of a ^ b."""
-    np.minimum(np.abs(a, out=x), np.abs(b, out=y), out=out)
-    sign = np.right_shift(np.bitwise_xor(a, b, out=x), 8 * a.itemsize - 1, out=x)
-    sign |= 1  # -1 where the signs differ, 1 where they agree
-    out *= sign
+    # sign(a) sign(b): the sign of a * b, also for a zero result, as in the
+    # scalar kernel, with no product to overflow
+    np.copysign(out, a, out=out)
+    out *= np.copysign(1.0, b, out=x)
 
 
 def _word_dtype(bound):
@@ -294,8 +293,9 @@ def _checked(llrs, kernel):
 class _State:
     """
     The buffers of up to ``width`` frames of length ``n`` (a block, or fewer
-    when the batch has fewer ``frames``) and the kernel's arithmetic;
-    :meth:`run` interprets any contiguous slice of a schedule.
+    when the batch has fewer ``frames``) and the kernel's arithmetic: the
+    exact f for the exact kernel, and the compare-select min-sum f for floats
+    and words otherwise; :meth:`run` interprets any contiguous slice of a schedule.
 
     Rows [m, 2m) of the level buffer ``llr`` hold the LLRs of the current
     length-m node, so the channel LLRs stay in rows [n, 2n). ``mult`` holds
@@ -306,13 +306,12 @@ class _State:
     """
 
     def __init__(self, kernel, n, frames):
+        self.f = _f_exact if kernel.arithmetic == "exact" else _f_minsum
+        self.clip, dtype = None, np.float64
         if kernel.arithmetic == "quantized":
-            dtype, self.f = _word_dtype(2 * kernel.qformat.max_magnitude), _f_words
+            dtype = _word_dtype(2 * kernel.qformat.max_magnitude)
             # a bound in the word type spares np.clip an np.iinfo per call
             self.clip = dtype(kernel.qformat.max_magnitude)
-        else:
-            self.clip, dtype = None, np.float64
-            self.f = _f_minsum if kernel.arithmetic == "minsum" else _f_exact
         # a 0-d zero of the word type spares the leaf's compares a Python 0's conversion
         self.zero = np.zeros((), dtype)
         self.shortcut = kernel.decision == "shortcut"
@@ -379,51 +378,50 @@ class _State:
         borrows rows [0, h) of ``llr`` from finished subtrees, and rows
         [off, off + h) of ``mult`` (a leaf's row ``off``) from its first
         child, whose leaf and zero steps write each of them before any step
-        reads it.
+        reads it. No step multiplies two LLRs, and ``_checked`` bounds every
+        sum, so no step overflows.
         """
         llr, mult, u = self.llr, self.mult, self.u
         f, clip, zero, shortcut = self.f, self.clip, self.zero, self.shortcut
         a, b = llr[2], llr[3]
         fv, y = llr[1], llr[0]
-        # a product in f may overflow to inf, which keeps its sign; no sum can (see _checked)
-        with np.errstate(over="ignore"):
-            for op in ops:
-                kind = op[0]
-                if kind == _LEAF:
-                    _, _, off, a_even, a_odd = op
-                    u0, u1, x0, x1 = u[off], u[off + 1], mult[off], mult[off + 1]
-                    if a_even:
-                        f(a, b, fv, x0, y)
-                        np.less(fv, zero, out=u0)
-                    # a decision d is the multiplier 1 - 2d, computed in the word type
-                    np.multiply(u0, -2, out=x0, dtype=x0.dtype)
-                    x0 += 1
-                    if a_odd:
-                        # the odd bit is the sign of the unclipped g sum y = b + (1 - 2 u0) a,
-                        # whose sign saturation keeps; y is 0 only at a magnitude tie,
-                        # where the shortcut (the hardware's compare and select) takes b
-                        np.multiply(x0, a, out=y)
-                        y += b
-                        if shortcut:
-                            np.copyto(y, b, where=np.equal(y, zero, out=u1))
-                        np.less(y, zero, out=u1)
-                    np.multiply(u1, -2, out=x1, dtype=x1.dtype)
-                    x1 += 1
-                    x0 *= x1
-                    continue
-                _, h, off = op
-                if kind == _F:
-                    f(llr[2 * h : 3 * h], llr[3 * h : 4 * h], llr[h : 2 * h], mult[off : off + h], llr[:h])
-                elif kind == _G:
-                    child = llr[h : 2 * h]
-                    np.multiply(mult[off : off + h], llr[2 * h : 3 * h], out=child)
-                    child += llr[3 * h : 4 * h]
-                    if clip is not None:
-                        np.clip(child, -clip, clip, out=child)
-                elif kind == _COMBINE:
-                    mult[off : off + h] *= mult[off + h : off + 2 * h]
-                else:
-                    mult[off : off + 2 * h].fill(1)
+        for op in ops:
+            kind = op[0]
+            if kind == _LEAF:
+                _, _, off, a_even, a_odd = op
+                u0, u1, x0, x1 = u[off], u[off + 1], mult[off], mult[off + 1]
+                if a_even:
+                    f(a, b, fv, x0, y)
+                    np.less(fv, zero, out=u0)
+                # a decision d is the multiplier 1 - 2d, computed in the word type
+                np.multiply(u0, -2, out=x0, dtype=x0.dtype)
+                x0 += 1
+                if a_odd:
+                    # the odd bit is the sign of the unclipped g sum y = b + (1 - 2 u0) a,
+                    # whose sign saturation keeps; y is 0 only at a magnitude tie,
+                    # where the shortcut (the hardware's compare and select) takes b
+                    np.multiply(x0, a, out=y)
+                    y += b
+                    if shortcut:
+                        np.copyto(y, b, where=np.equal(y, zero, out=u1))
+                    np.less(y, zero, out=u1)
+                np.multiply(u1, -2, out=x1, dtype=x1.dtype)
+                x1 += 1
+                x0 *= x1
+                continue
+            _, h, off = op
+            if kind == _F:
+                f(llr[2 * h : 3 * h], llr[3 * h : 4 * h], llr[h : 2 * h], mult[off : off + h], llr[:h])
+            elif kind == _G:
+                child = llr[h : 2 * h]
+                np.multiply(mult[off : off + h], llr[2 * h : 3 * h], out=child)
+                child += llr[3 * h : 4 * h]
+                if clip is not None:
+                    np.clip(child, -clip, clip, out=child)
+            elif kind == _COMBINE:
+                mult[off : off + h] *= mult[off + h : off + 2 * h]
+            else:
+                mult[off : off + 2 * h].fill(1)
 
     def node_bits(self, off, m):
         """The re-encoded bits of the finished length-m node at ``off``, (frames, m)."""

@@ -346,6 +346,16 @@ class TestSimulate:
         assert code == 1
         assert err == "polarsc: error: channel LLRs at Eb/N0 3080.0 dB are beyond the float range\n"
 
+    def test_snr_whose_float_llrs_pass_the_decoder_bound_fails_naming_it(self, mask_file, capsys):
+        # finite LLRs of about 6e307, above float max / 16, for min-sum at 3075 dB
+        argv = ["simulate", "--mask", str(mask_file), "--snr", "3075", "--max-trials", "64"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err.startswith("polarsc: error: channel LLRs at Eb/N0 3075.0 dB are out of the decoder's range: ")
+        assert err.count("\n") == 1
+
     def test_exact_kernel(self, tmp_path, mask_file, capsys):
         out_csv = tmp_path / "fer.csv"
         argv = [

@@ -294,6 +294,20 @@ def test_a_point_whose_channel_llrs_overflow_is_refused_without_a_warning(kernel
             run_point(config, 3080.0)
 
 
+@pytest.mark.parametrize("kernel", [DecoderKernel.min_sum(), DecoderKernel.exact()], ids=["minsum", "exact"])
+def test_a_point_whose_float_llrs_pass_the_decoder_bound_names_its_snr(kernel):
+    # at 3075 dB and rate 1/2 the LLRs are finite, about 6e307, but above float max / N
+    config = small_config(kernel=kernel, snr_db=(3075.0,), max_trials=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = r"^channel LLRs at Eb/N0 3075\.0 dB are out of the decoder's range: LLRs must be finite"
+        with pytest.raises(ValueError, match=want):
+            run_point(config, 3075.0)
+    # words saturate, so the 5-bit decoder takes the same channel
+    quantized = small_config(kernel=DecoderKernel.quantized(QFormat(5)), snr_db=(3075.0,), max_trials=64)
+    assert run_point(quantized, 3075.0).frame_errors == 0
+
+
 class TestSweepAndCsv:
     def test_sweep_covers_grid_in_order(self):
         config = small_config(max_trials=512, min_frame_errors=10**9)

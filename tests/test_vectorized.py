@@ -25,6 +25,7 @@ from polarsc import (
     f_minsum,
     g_fn,
     hybrid_decode,
+    qf_minsum,
     quantize,
     quantize_batch,
 )
@@ -40,6 +41,7 @@ from polarsc.vectorized import (
     _schedule,
     _State,
     _subtrees,
+    _word_dtype,
 )
 from test_decoder import reference_decode
 
@@ -513,6 +515,36 @@ def test_scalar_and_batched_f_agree_bit_for_bit(scalar, batched):
     want = np.array([scalar(float(p), float(q)) for p, q in zip(a, b)])
     assert np.array_equal(out.view(np.int64), want.view(np.int64))
 
+
+
+@pytest.mark.parametrize("bits", range(2, 10))
+def test_word_f_is_qf_minsum_on_every_word_pair(bits):
+    # in the type the decoder carries the words in: int8 up to 7 bits, int16 for 8 and 9
+    m = QFormat(bits).max_magnitude
+    dtype = _word_dtype(2 * m)
+    assert dtype == (np.int8 if bits <= 7 else np.int16)
+    values = range(-m, m + 1)
+    a, b = (np.array(v, dtype=dtype) for v in zip(*itertools.product(values, repeat=2)))
+    out, x, y = np.empty_like(a), np.empty_like(a), np.empty_like(a)
+    _f_minsum(a, b, out, x, y)
+    words = {v: QLlr.from_value(v, bits) for v in values}
+    want = [qf_minsum(words[p], words[q]).value for p, q in zip(a.tolist(), b.tolist())]
+    assert out.dtype == dtype and out.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "scalar,batched", [(f_minsum, _f_minsum), (f_exact, _f_exact)], ids=["minsum", "exact"]
+)
+def test_float_f_forms_no_product_that_overflows(scalar, batched):
+    # a * b overflows on the float maximum / 2 and on 1e160
+    big = float(np.finfo(np.float64).max / 2)
+    values = F_EDGE_VALUES + [big, -big, 1e160, -1e160]
+    a, b = (np.array(v) for v in zip(*itertools.product(values, repeat=2)))
+    out, x, y = np.empty_like(a), np.empty_like(a), np.empty_like(a)
+    with np.errstate(over="raise", invalid="raise"):
+        batched(a, b, out, x, y)
+    want = np.array([scalar(float(p), float(q)) for p, q in zip(a, b)])
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))
 
 # every leaf input class in floats: signed zeros, the smallest subnormal, a
 # product that underflows, sums that round to 0 or cancel, and +/-(float max / 2),
