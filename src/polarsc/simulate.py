@@ -1,13 +1,14 @@
 """BPSK/AWGN channel model and a deterministic, parallelizable FER/BER harness.
 
-A Monte Carlo chunk runs its stages in this order: data bits drawn from the
-chunk's stream and gathered into the data positions of ``u``; encode; the
-channel, worked in place on a noise draw from the same stream, a cached
-tile at a time (scaled, shifted by the +/-1 symbols, turned into LLRs and,
-for a quantized kernel, quantized into words before the tile leaves the
-cache); decode; and a compare of whole rows, as frozen positions are 0 in
-``u`` and in the decisions. Only ``u`` and the LLRs or words live on into
-the decoder.
+A Monte Carlo chunk first draws its data bits from the chunk's stream and
+gathers them into the data positions of ``u``. It then runs one decode block
+of rows at a time through one decode state: encode; the channel, which draws
+the block's noise from the same stream a cached tile at a time, straight into
+the state's input buffer (scaled, shifted by the +/-1 symbols, turned into
+LLRs and checked against the decoder's bound or, for a quantized kernel,
+quantized into words before the tile leaves the cache); load and decode; and
+a compare of whole rows, as frozen positions are 0 in ``u`` and in the
+decisions. Only ``u`` and the decode state live through the chunk.
 """
 
 import io
@@ -21,7 +22,7 @@ from typing import Tuple
 import numpy as np
 
 from .code import CodeSpec, _as_bits, _count, _finite, _polar_transform
-from .vectorized import _FLAT_TILE, DecoderKernel, _quantize_tile, _word_dtype, decode_batch
+from .vectorized import _FLAT_TILE, DecoderKernel, _compile, _floats, _quantize_tile, _State, _word_dtype
 
 CSV_HEADER = "snr_db,trials,frame_errors,bit_errors,fer,ber,ci95"
 
@@ -46,29 +47,37 @@ class AwgnChannel:
         return 1.0 / (2.0 * self.rate * 10.0 ** (self.ebn0_db / 10.0))
 
 
-def _awgn(x, chan, rng, llrs, fmt=None):
+def _awgn(x, chan, rng, llrs, fmt=None, out=None, bound=None):
     """
-    Noisy BPSK observations of ``x``, or their LLRs when ``llrs``, worked in
-    place on the noise draw a tile at a time: the float operations of
-    ``symbols + sqrt(var) * noise`` and then ``2 * y / var``, in that order.
-    LLRs beyond the float range are refused. Given a QFormat ``fmt``, each
-    tile of LLRs is quantized while it is in cache, and the words are
-    returned, as ``quantize_batch`` gives them. ``x`` is checked for 0/1
-    entries at its own number of axes.
+    Noisy BPSK observations of ``x``, or their LLRs when ``llrs``, made a tile
+    at a time: each tile draws its noise and runs the float operations of
+    ``symbols + sqrt(var) * noise`` and then ``2 * y / var``, in that order, so
+    the tiles draw in turn the stream of one draw of ``x``'s shape. Floats are
+    drawn and worked in the result itself. Given a QFormat ``fmt``, each tile
+    is worked in one float buffer and its LLRs are quantized while they are in
+    cache; the words are returned, as ``quantize_batch`` gives them. The result
+    is written into ``out`` if given: a C-contiguous array of ``x``'s shape, of
+    float64 or of an integer type that holds the words. LLRs beyond the float
+    range are refused, and so are LLRs of magnitude above ``bound``, if given,
+    each tile as it is made. ``x`` is checked for 0/1 entries at its own
+    number of axes.
     """
     x = _as_bits(x, np.ndim(x), "codeword")
     var = chan.noise_variance
     sigma = math.sqrt(var)
-    y = rng.standard_normal(x.shape)
-    out = y if fmt is None else np.empty(x.shape, dtype=_word_dtype(fmt.max_magnitude))
-    flat, bits, words = y.reshape(-1), x.reshape(-1), out.reshape(-1)
+    if out is None:
+        out = np.empty(x.shape, dtype=np.float64 if fmt is None else _word_dtype(fmt.max_magnitude))
+    flat, bits = out.reshape(-1), x.reshape(-1)
     symbols = np.empty(min(_FLAT_TILE, flat.size))
+    noise = None if fmt is None else np.empty(len(symbols))  # floats are drawn into the result
     try:
         # only 2y / var can overflow: at a variance below about 1e-308
         with np.errstate(over="raise"):
             for i in range(0, flat.size, _FLAT_TILE):
-                tile = flat[i : i + _FLAT_TILE]
-                sym = symbols[: len(tile)]
+                dst = flat[i : i + _FLAT_TILE]
+                tile = dst if fmt is None else noise[: len(dst)]
+                sym = symbols[: len(dst)]
+                rng.standard_normal(out=tile)
                 tile *= sigma
                 # 1 - 2x as -2x + 1: the same floats
                 np.multiply(bits[i : i + _FLAT_TILE], -2.0, out=sym, dtype=np.float64)
@@ -77,8 +86,10 @@ def _awgn(x, chan, rng, llrs, fmt=None):
                 if llrs:
                     tile *= 2.0
                     tile /= var
+                    if bound is not None:  # the decoder's own check, on the tile in cache
+                        _floats(tile, bound, f"channel LLRs at Eb/N0 {chan.ebn0_db} dB are out of the decoder's range: LLRs")
                     if fmt is not None:  # the symbols are spent, so their buffer is the scratch
-                        _quantize_tile(tile, fmt, words[i : i + _FLAT_TILE], sym)
+                        _quantize_tile(tile, fmt, dst, sym)
     except FloatingPointError:
         raise ValueError(f"channel LLRs at Eb/N0 {chan.ebn0_db} dB are beyond the float range") from None
     return out
@@ -156,30 +167,39 @@ class FerPoint:
 
 
 def _chunk_counts(config, chan, point_index, chunk_index):
-    """Simulate chunk ``chunk_index`` of a point, trials counted from its number; pure function of its arguments."""
+    """
+    Simulate chunk ``chunk_index`` of a point, trials counted from its number;
+    pure function of its arguments. The chunk's rows run one decode block at
+    a time, and each block's channel writes its LLRs or words into the
+    decoder's own input buffer, checked there against the float decoder's
+    bound, so that no array of them the size of a chunk is built.
+    """
     trials = min(config.chunk_trials, config.max_trials - chunk_index * config.chunk_trials)
     ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(point_index, chunk_index))
     rng = np.random.Generator(np.random.Philox(ss))
-    mask, kernel, k = config.code.mask, config.kernel, config.code.k
+    mask, kernel, k, n = config.code.mask, config.kernel, config.code.k, config.code.n
     data = rng.integers(0, 2, size=(trials, k), dtype=np.uint8)
     if k:
         # column j takes data column (data positions up to j) - 1; frozen columns are then cleared
         u = np.take(data, np.maximum(np.cumsum(mask, dtype=np.intp) - 1, 0), axis=1)
         u &= mask
     else:
-        u = np.zeros((trials, len(mask)), dtype=np.uint8)
+        u = np.zeros((trials, n), dtype=np.uint8)
     del data  # only u lives on through decode
-    # u is 0/1 uint8 by construction; the codeword is not kept past the channel,
-    # which quantizes its LLRs for a quantized kernel
-    llrs = _awgn(_polar_transform(u), chan, rng, llrs=True, fmt=kernel.qformat)
-    try:
-        u_hat = decode_batch(llrs, mask, kernel)
-    except ValueError as exc:  # finite float LLRs above the decoder's bound, float max / N
-        raise ValueError(f"channel LLRs at Eb/N0 {chan.ebn0_db} dB are out of the decoder's range: {exc}") from None
-    # frozen positions are 0 in both, so whole rows compare as the data columns
-    diff = u_hat != u
-    frame_errors = int(np.count_nonzero(diff.any(axis=1)))
-    bit_errors = int(np.count_nonzero(diff))
+    ops, state = _compile(mask, n), _State(kernel, n, trials)
+    # float LLRs of magnitude at most float max / N, so that no g sum overflows; words saturate
+    bound = np.finfo(np.float64).max / n if kernel.qformat is None else None
+    frame_errors = bit_errors = 0
+    for start in range(0, trials, state.width):
+        rows = u[start : start + state.width]
+        # u is 0/1 uint8 by construction, and the codeword is not kept past the channel
+        block = _awgn(_polar_transform(rows), chan, rng, llrs=True, fmt=kernel.qformat, out=state.block(len(rows)), bound=bound)
+        state.load(block)
+        state.run(ops)
+        # frozen positions are 0 in both, so whole rows compare as the data columns
+        diff = state.decisions() != rows
+        frame_errors += int(np.count_nonzero(diff.any(axis=1)))
+        bit_errors += int(np.count_nonzero(diff))
     return trials, frame_errors, bit_errors
 
 

@@ -103,18 +103,19 @@ def encode_batch(u):
     return _polar_transform(u)
 
 
-def _floats(llrs, bound=np.finfo(np.float64).max):
+def _floats(llrs, bound=np.finfo(np.float64).max, what="LLRs"):
     """
     Integer or float LLRs as float64; strings, bools, complex, NaN and
-    magnitudes above ``bound`` (by default the non-finite ones) are refused.
+    magnitudes above ``bound`` (by default the non-finite ones) are refused,
+    in a message that names them ``what``.
     """
     llrs = np.asarray(llrs)
     if llrs.dtype.kind not in "iuf":
-        raise ValueError(f"LLRs must be integers or floats, got dtype {llrs.dtype}")
+        raise ValueError(f"{what} must be integers or floats, got dtype {llrs.dtype}")
     llrs = llrs.astype(np.float64, copy=False)
     # a NaN fails both comparisons
     if llrs.size and not (llrs.min() >= -bound and llrs.max() <= bound):
-        raise ValueError(f"LLRs must be finite, of magnitude at most {float(bound)!r}")
+        raise ValueError(f"{what} must be finite, of magnitude at most {float(bound)!r}")
     return llrs
 
 
@@ -351,6 +352,14 @@ class _State:
         state = cls(kernel, row.shape[1], 1)
         state.load(row)
         return state
+
+    def block(self, k):
+        """
+        An input buffer for :meth:`load` of ``k`` frames, (k, n) of the word
+        type: the multiplier storage, which ``load`` does not write and
+        ``run`` writes, row by row, before it reads it.
+        """
+        return self.storage[1].ravel()[: k * self.n].reshape(k, self.n)
 
     def load(self, block):
         """Cut the buffers of a checked (frames, n) block, bit-reverse it into the level buffer and clear ``u``."""

@@ -1,5 +1,6 @@
 """Tests for the channel model and the Monte Carlo harness contracts."""
 
+import copy
 import math
 import tracemalloc
 import warnings
@@ -22,7 +23,7 @@ from polarsc import (
     run_sweep,
 )
 from polarsc.simulate import CSV_HEADER, _awgn, _chunk_counts, bpsk_observations, observation_llrs
-from polarsc.vectorized import _FLAT_TILE
+from polarsc.vectorized import _FLAT_TILE, _State
 
 
 def two_step_observations(x, noise_variance, rng):
@@ -81,6 +82,29 @@ class TestChannel:
         assert llrs.shape == shape and llrs.dtype == np.float64
         for y in (bpsk_observations(x, chan, np.random.default_rng(4)), two_step_observations(x, var, 4)):
             assert np.array_equal(llrs.view(np.uint64), observation_llrs(y, var).view(np.uint64))
+
+    # one value, a tile less one, a tile and one, and several tiles with a partial last one
+    @pytest.mark.parametrize("shape", [(1,), (_FLAT_TILE - 1,), (_FLAT_TILE + 1,), (3, 20_000)], ids=str)
+    @pytest.mark.parametrize("fmt", [None, QFormat(5)], ids=["llrs", "q5"])
+    def test_tile_wise_draws_equal_one_sized_draw_bit_for_bit(self, shape, fmt):
+        x = np.random.default_rng(9).integers(0, 2, shape, dtype=np.uint8)
+        chan = AwgnChannel(1.5, 0.5)
+        var = chan.noise_variance
+        rng = np.random.Generator(np.random.Philox(3))
+        sized = copy.deepcopy(rng)
+        want = observation_llrs(two_step_observations(x, var, sized), var)
+        if fmt is not None:
+            want = quantize_batch(want, fmt)
+        into = np.empty_like(want)
+        drawn = [copy.deepcopy(rng), copy.deepcopy(rng)]
+        fresh = _awgn(x, chan, drawn[0], llrs=True, fmt=fmt)
+        assert _awgn(x, chan, drawn[1], llrs=True, fmt=fmt, out=into) is into
+        after = sized.bit_generator.random_raw(4)
+        for got, gen in zip((fresh, into), drawn):
+            assert got.shape == shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            # the tiles leave the stream where the sized draw leaves it
+            assert np.array_equal(gen.bit_generator.random_raw(4), after)
 
     @pytest.mark.parametrize("bad", [2, -1, 0.5])
     @pytest.mark.parametrize("shape", [(4,), (2, 2)])
@@ -283,6 +307,41 @@ def test_chunk_counts_spanning_several_channel_tiles_equal_the_stage_by_stage_ch
         counts = _chunk_counts(config, chan, 0, chunk_index)
         assert counts == reference_chunk_counts(config, chan, 0, chunk_index)
         assert counts[0] == trials and counts[1] > 0
+
+
+# 9000 trials: 8 full float blocks of 1024 frames and a partial one, or a full
+# int8 block of 8192 frames and a partial one
+@pytest.mark.parametrize(
+    "kernel, blocks", [(DecoderKernel.min_sum(), 9), (DecoderKernel.quantized(QFormat(5)), 2)], ids=["minsum", "q5"]
+)
+def test_chunk_counts_over_several_decode_blocks_equal_the_stage_by_stage_chunk(kernel, blocks):
+    config = small_config(code=CodeSpec.construct(64, 32), kernel=kernel, max_trials=9000, chunk_trials=9000)
+    chan = AwgnChannel(1.0, 0.5)
+    width = _State(kernel, 64, 9000).width
+    assert -(-9000 // width) == blocks and 9000 % width
+    counts = _chunk_counts(config, chan, 0, 0)
+    assert counts == reference_chunk_counts(config, chan, 0, 0)
+    assert counts[0] == 9000 and counts[1] > 0
+
+
+@pytest.mark.parametrize(
+    "k, kernel", [(853, DecoderKernel.min_sum()), (512, DecoderKernel.quantized(QFormat(5)))], ids=["minsum", "q5"]
+)
+def test_a_chunk_holds_its_decode_state_and_four_bytes_per_trial_and_position(k, kernel):
+    # the chunk draws, decodes and compares one decode block at a time, into the
+    # state's own buffers, so no array of LLRs or words the size of the chunk is held
+    config = small_config(code=CodeSpec.construct(1024, k), kernel=kernel, max_trials=4096, chunk_trials=2048)
+    chan = AwgnChannel(3.0, config.code.rate)
+    _chunk_counts(config, chan, 0, 0)  # the schedule and the bit reversals are cached
+    state_bytes = sum(a.nbytes for a in _State(kernel, 1024, 2048).storage)
+    tracemalloc.start()
+    try:
+        counts = _chunk_counts(config, chan, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[0] == 2048
+    assert peak < state_bytes + 4 * 2048 * 1024
 
 
 @pytest.mark.parametrize("kernel", [DecoderKernel.min_sum(), DecoderKernel.quantized(QFormat(5))], ids=["minsum", "q5"])

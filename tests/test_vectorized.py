@@ -331,7 +331,7 @@ FLOAT_DECODERS = {
 @pytest.mark.parametrize("entry", FLOAT_DECODERS.values(), ids=FLOAT_DECODERS.keys())
 def test_llrs_at_the_bound_decode_like_the_reference_without_a_warning(entry, kernel):
     # the overflowing frame scaled to the bound, and frames of +/-bound, half of it, 0 and 1:
-    # products in f overflow to inf, and sums of up to 8 of them reach the float maximum
+    # f forms no product of two of them, and sums of up to 8 of them reach the float maximum
     rng = np.random.default_rng(8)
     frames = [[BOUND8 if v > 1 else -BOUND8 if v < -1 else v for v in OVERFLOWING_FRAME]]
     frames += rng.choice([BOUND8, -BOUND8, BOUND8 / 2, -BOUND8 / 2, 0.0, 1.0, -1.0], (12, 8)).tolist()
@@ -345,7 +345,8 @@ def test_llrs_at_the_bound_decode_like_the_reference_without_a_warning(entry, ke
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=str)
 def test_the_reference_decodes_float64_rows_at_the_bound_without_a_warning(kernel):
-    # rows of a float64 array, not lists of Python floats: f's sign products overflow on numpy scalars
+    # rows of a float64 array, not lists of Python floats: the reference's g sums of numpy scalars
+    # reach the float maximum, where an overflow would warn
     rng = np.random.default_rng(8)
     frames = np.array([[BOUND8 if v > 1 else -BOUND8 if v < -1 else v for v in OVERFLOWING_FRAME]])
     frames = np.concatenate([frames, rng.choice([BOUND8, -BOUND8, BOUND8 / 2, -BOUND8 / 2, 0.0, 1.0], (12, 8))])
@@ -548,7 +549,7 @@ def test_float_f_forms_no_product_that_overflows(scalar, batched):
 
 # every leaf input class in floats: signed zeros, the smallest subnormal, a
 # product that underflows, sums that round to 0 or cancel, and +/-(float max / 2),
-# the bound at N = 2, whose products overflow and whose sums reach the float maximum
+# the bound at N = 2, whose sums reach the float maximum (no f forms their product)
 LEAF_GRID = [v for m in (0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, float(np.finfo(np.float64).max / 2)) for v in (m, -m)]
 
 
