@@ -23,7 +23,7 @@ def _component_length(n_prime, n):
     return n_prime
 
 
-def component_inputs(llrs, decided, n_prime, kernel=None):
+def component_inputs(llrs, decided, n_prime, kernel=DecoderKernel.min_sum()):
     """
     LLR vector handed to the component decoder for the next repetition.
 
@@ -33,8 +33,6 @@ def component_inputs(llrs, decided, n_prime, kernel=None):
     to form partial sums on the variable-node branches. This is the
     synchronous decoder's share of the work.
     """
-    if kernel is None:
-        kernel = DecoderKernel.min_sum()
     decided = _as_bits(decided, noun="decided bit vector")
     state = _State.one_frame(llrs, kernel)
     n_prime = _component_length(n_prime, state.n)
@@ -49,7 +47,7 @@ def component_inputs(llrs, decided, n_prime, kernel=None):
         state.decide(off, decided[None, off : off + n_prime])
 
 
-def hybrid_decode(llrs, mask, n_prime, kernel=None):
+def hybrid_decode(llrs, mask, n_prime, kernel=DecoderKernel.min_sum()):
     """
     Decode by alternating the synchronous front end and the component decoder.
 
@@ -69,8 +67,6 @@ def hybrid_decode(llrs, mask, n_prime, kernel=None):
     kernel : DecoderKernel, optional
         Arithmetic/decision selection shared by both decoder halves.
     """
-    if kernel is None:
-        kernel = DecoderKernel.min_sum()
     state = _State.one_frame(llrs, kernel)
     n_prime = _component_length(n_prime, state.n)
     # checked whole here; each component decodes its own slice

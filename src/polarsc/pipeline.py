@@ -47,13 +47,13 @@ class PipelinedDecoder:
         Arithmetic/decision selection, as for plain decoding.
     """
 
-    def __init__(self, mask, stages=1, kernel=None):
+    def __init__(self, mask, stages=1, kernel=DecoderKernel.min_sum()):
         n = len(_as_bits(mask, noun="mask"))  # a scalar mask has no length
         _require_power_of_two(n, 4, "mask length")
         self.stages = _count(stages, "stage count")
         ops = _compile(mask, n)
         self.n = n
-        self.kernel = kernel if kernel is not None else DecoderKernel.min_sum()
+        self.kernel = kernel
         # the first half decodes the root's first child; an all-frozen mask
         # compiles to one zero step, which the first half runs
         cut = next((stop for _, _, stop in _subtrees(ops, n // 2)), len(ops))

@@ -5,10 +5,10 @@ gathers them into the data positions of ``u``. It then runs one decode block
 of rows at a time through one decode state: encode; the channel, which draws
 the block's noise from the same stream a cached tile at a time, straight into
 the state's input buffer (scaled, shifted by the +/-1 symbols, turned into
-LLRs and checked against the decoder's bound or, for a quantized kernel,
-quantized into words before the tile leaves the cache); load and decode; and
-a compare of whole rows, as frozen positions are 0 in ``u`` and in the
-decisions. Only ``u`` and the decode state live through the chunk.
+LLRs and, for a quantized kernel, quantized into words before the tile leaves
+the cache); load, the one check of the channel's values, and decode; and a
+compare of whole rows, as frozen positions are 0 in ``u`` and in the decisions.
+Only ``u`` and the decode state live through the chunk.
 """
 
 import io
@@ -22,7 +22,7 @@ from typing import Tuple
 import numpy as np
 
 from .code import CodeSpec, _as_bits, _count, _finite, _polar_transform
-from .vectorized import _FLAT_TILE, DecoderKernel, _compile, _floats, _quantize_tile, _State, _word_dtype
+from .vectorized import _FLAT_TILE, DecoderKernel, _compile, _quantize_tile, _State, _word_dtype
 
 CSV_HEADER = "snr_db,trials,frame_errors,bit_errors,fer,ber,ci95"
 
@@ -47,7 +47,7 @@ class AwgnChannel:
         return 1.0 / (2.0 * self.rate * 10.0 ** (self.ebn0_db / 10.0))
 
 
-def _awgn(x, chan, rng, llrs, fmt=None, out=None, bound=None):
+def _awgn(x, chan, rng, llrs, fmt=None, out=None):
     """
     Noisy BPSK observations of ``x``, or their LLRs when ``llrs``, made a tile
     at a time: each tile draws its noise and runs the float operations of
@@ -58,9 +58,8 @@ def _awgn(x, chan, rng, llrs, fmt=None, out=None, bound=None):
     cache; the words are returned, as ``quantize_batch`` gives them. The result
     is written into ``out`` if given: a C-contiguous array of ``x``'s shape, of
     float64 or of an integer type that holds the words. LLRs beyond the float
-    range are refused, and so are LLRs of magnitude above ``bound``, if given,
-    each tile as it is made. ``x`` is checked for 0/1 entries at its own
-    number of axes.
+    range are refused as a tile makes them; the decoder's range is checked by
+    ``_State.load``. ``x`` is checked for 0/1 entries at its own number of axes.
     """
     x = _as_bits(x, np.ndim(x), "codeword")
     var = chan.noise_variance
@@ -86,8 +85,6 @@ def _awgn(x, chan, rng, llrs, fmt=None, out=None, bound=None):
                 if llrs:
                     tile *= 2.0
                     tile /= var
-                    if bound is not None:  # the decoder's own check, on the tile in cache
-                        _floats(tile, bound, f"channel LLRs at Eb/N0 {chan.ebn0_db} dB are out of the decoder's range: LLRs")
                     if fmt is not None:  # the symbols are spent, so their buffer is the scratch
                         _quantize_tile(tile, fmt, dst, sym)
     except FloatingPointError:
@@ -171,8 +168,8 @@ def _chunk_counts(config, chan, point_index, chunk_index):
     Simulate chunk ``chunk_index`` of a point, trials counted from its number;
     pure function of its arguments. The chunk's rows run one decode block at
     a time, and each block's channel writes its LLRs or words into the
-    decoder's own input buffer, checked there against the float decoder's
-    bound, so that no array of them the size of a chunk is built.
+    decoder's own input buffer, so that no array of them the size of a chunk
+    is built. A block that ``load`` refuses is refused naming the Eb/N0.
     """
     trials = min(config.chunk_trials, config.max_trials - chunk_index * config.chunk_trials)
     ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(point_index, chunk_index))
@@ -187,14 +184,15 @@ def _chunk_counts(config, chan, point_index, chunk_index):
         u = np.zeros((trials, n), dtype=np.uint8)
     del data  # only u lives on through decode
     ops, state = _compile(mask, n), _State(kernel, n, trials)
-    # float LLRs of magnitude at most float max / N, so that no g sum overflows; words saturate
-    bound = np.finfo(np.float64).max / n if kernel.qformat is None else None
     frame_errors = bit_errors = 0
     for start in range(0, trials, state.width):
         rows = u[start : start + state.width]
         # u is 0/1 uint8 by construction, and the codeword is not kept past the channel
-        block = _awgn(_polar_transform(rows), chan, rng, llrs=True, fmt=kernel.qformat, out=state.block(len(rows)), bound=bound)
-        state.load(block)
+        block = _awgn(_polar_transform(rows), chan, rng, llrs=True, fmt=kernel.qformat, out=state.block(len(rows)))
+        try:
+            state.load(block)
+        except ValueError as exc:  # float LLRs above the decoder's bound; words saturate
+            raise ValueError(f"channel LLRs at Eb/N0 {chan.ebn0_db} dB are out of the decoder's range: {exc}") from None
         state.run(ops)
         # frozen positions are 0 in both, so whole rows compare as the data columns
         diff = state.decisions() != rows

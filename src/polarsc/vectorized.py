@@ -12,7 +12,9 @@ frozen subtree is one step that sets its multipliers to +1, and quantized
 words are carried in the narrowest integer type that holds a g sum (int8 up
 to 7-bit words). A block holds the LLR bytes of ``BLOCK_FRAMES``
 float frames, so narrower words decode more frames per numpy call, and it is
-filled and emptied ``_TILE`` frames at a time.
+filled and emptied ``_TILE`` frames at a time. ``_State.load``, the one check
+of input values, refuses a tile that holds a NaN, a float above float max / N
+or a word out of the format's range; the entry points check shapes and types.
 
 This module alone builds schedules and knows their steps and the buffer
 layout, and ``_State.run`` alone interprets them; a leaf reads a frozen
@@ -103,20 +105,12 @@ def encode_batch(u):
     return _polar_transform(u)
 
 
-def _floats(llrs, bound=np.finfo(np.float64).max, what="LLRs"):
-    """
-    Integer or float LLRs as float64; strings, bools, complex, NaN and
-    magnitudes above ``bound`` (by default the non-finite ones) are refused,
-    in a message that names them ``what``.
-    """
+def _floats(llrs):
+    """Integer or float LLRs as float64; strings, bools and complex are refused."""
     llrs = np.asarray(llrs)
     if llrs.dtype.kind not in "iuf":
-        raise ValueError(f"{what} must be integers or floats, got dtype {llrs.dtype}")
-    llrs = llrs.astype(np.float64, copy=False)
-    # a NaN fails both comparisons
-    if llrs.size and not (llrs.min() >= -bound and llrs.max() <= bound):
-        raise ValueError(f"{what} must be finite, of magnitude at most {float(bound)!r}")
-    return llrs
+        raise ValueError(f"LLRs must be integers or floats, got dtype {llrs.dtype}")
+    return llrs.astype(np.float64, copy=False)
 
 
 def _quantize_tile(src, fmt, dst, scratch):
@@ -146,14 +140,18 @@ def quantize_batch(llrs, fmt):
     Quantize float LLRs to sign-magnitude words, as signed integers of the narrowest
     type that holds the format's maximum magnitude: int8 up to 8 bits, int16 up to 16,
     int32 up to 32, int64 above. The values are quantized ``_FLAT_TILE`` at a time,
-    by the kernel that the Monte Carlo channel runs on each tile of its LLRs.
+    by the kernel that the Monte Carlo channel runs on each tile of its LLRs;
+    each tile is refused, before it is quantized, if it holds a non-finite value.
     """
     llrs = _floats(llrs)
     words = np.empty(llrs.shape, dtype=_word_dtype(fmt.max_magnitude))
     flat, out = llrs.reshape(-1), words.reshape(-1)
     scratch = np.empty(min(_FLAT_TILE, flat.size))
+    top = float(np.finfo(np.float64).max)
     for i in range(0, flat.size, _FLAT_TILE):
         tile = flat[i : i + _FLAT_TILE]
+        if not (tile.min() >= -top and tile.max() <= top):  # a NaN fails both comparisons
+            raise ValueError(f"LLRs must be finite, of magnitude at most {top!r}")
         _quantize_tile(tile, fmt, out[i : i + _FLAT_TILE], scratch[: len(tile)])
     return words
 
@@ -273,9 +271,8 @@ def _compile(mask, n):
 
 def _checked(llrs, kernel):
     """
-    Check a (frames, N) LLR matrix: integer words in range for the quantized
-    kernel, otherwise float64 of magnitude at most the float maximum / N, so
-    that no sum of N of them, and so no g sum, overflows.
+    Check a (frames, N) LLR matrix's shape and type: integer words for the
+    quantized kernel, otherwise floats, as float64. ``_State.load`` checks the values.
     """
     llrs = np.asarray(llrs)
     if llrs.ndim != 2:
@@ -284,11 +281,8 @@ def _checked(llrs, kernel):
     if kernel.arithmetic == "quantized":
         if not np.issubdtype(llrs.dtype, np.integer):
             raise ValueError("quantized decode expects integer words; see quantize_batch")
-        clip = kernel.qformat.max_magnitude
-        if llrs.size and (llrs.min() < -clip or llrs.max() > clip):
-            raise ValueError(f"quantized words must lie in [-{clip}, {clip}]")
         return llrs
-    return _floats(llrs, np.finfo(np.float64).max / llrs.shape[1])
+    return _floats(llrs)
 
 
 class _State:
@@ -309,10 +303,13 @@ class _State:
     def __init__(self, kernel, n, frames):
         self.f = _f_exact if kernel.arithmetic == "exact" else _f_minsum
         self.clip, dtype = None, np.float64
+        # the largest input magnitude that load takes: for floats float max / n,
+        # so that no sum of n of them, and so no g sum, overflows
+        self.limit = float(np.finfo(np.float64).max / n)
         if kernel.arithmetic == "quantized":
             dtype = _word_dtype(2 * kernel.qformat.max_magnitude)
             # a bound in the word type spares np.clip an np.iinfo per call
-            self.clip = dtype(kernel.qformat.max_magnitude)
+            self.clip = self.limit = dtype(kernel.qformat.max_magnitude)
         # a 0-d zero of the word type spares the leaf's compares a Python 0's conversion
         self.zero = np.zeros((), dtype)
         self.shortcut = kernel.decision == "shortcut"
@@ -362,16 +359,25 @@ class _State:
         return self.storage[1].ravel()[: k * self.n].reshape(k, self.n)
 
     def load(self, block):
-        """Cut the buffers of a checked (frames, n) block, bit-reverse it into the level buffer and clear ``u``."""
+        """
+        Cut the buffers of a (frames, n) block, bit-reverse it into the level
+        buffer and clear ``u``; the one check of input values refuses each tile
+        of ``_TILE`` frames that holds a NaN or a magnitude above ``limit``.
+        """
         k, n = block.shape
         # a block runs on the start of each buffer, so that its rows are
         # contiguous at any width and no numpy call copies them
         self.frames = k
         self.llr, self.mult, self.u = (a.ravel()[: len(a) * k].reshape(-1, k) for a in self.storage)
         # transpose into the free lower levels, then gather the bit-reversed rows
-        lower = self.llr[:n]
+        lower, limit = self.llr[:n], self.limit
         for i in range(0, k, _TILE):
-            lower[:, i : i + _TILE] = block[i : i + _TILE].T
+            tile = block[i : i + _TILE]
+            if not (tile.min() >= -limit and tile.max() <= limit):  # a NaN fails both comparisons
+                if self.clip is None:
+                    raise ValueError(f"LLRs must be finite, of magnitude at most {limit!r}")
+                raise ValueError(f"quantized words must lie in [-{limit}, {limit}]")
+            lower[:, i : i + _TILE] = tile.T
         np.take(lower, _bit_reversal(n), axis=0, out=self.llr[n:], mode="wrap")
         self.u.fill(False)
 
@@ -387,7 +393,7 @@ class _State:
         borrows rows [0, h) of ``llr`` from finished subtrees, and rows
         [off, off + h) of ``mult`` (a leaf's row ``off``) from its first
         child, whose leaf and zero steps write each of them before any step
-        reads it. No step multiplies two LLRs, and ``_checked`` bounds every
+        reads it. No step multiplies two LLRs, and ``load`` bounds every
         sum, so no step overflows.
         """
         llr, mult, u = self.llr, self.mult, self.u
@@ -458,7 +464,7 @@ class _State:
         return out
 
 
-def decode_batch(llrs, mask, kernel=None):
+def decode_batch(llrs, mask, kernel=DecoderKernel.min_sum()):
     """
     SC-decode each row of an LLR matrix.
 
@@ -478,8 +484,6 @@ def decode_batch(llrs, mask, kernel=None):
     ndarray, shape (frames, N)
         Decisions per frame, frozen positions zero.
     """
-    if kernel is None:
-        kernel = DecoderKernel.min_sum()
     llrs = _checked(llrs, kernel)
     ops = _compile(mask, llrs.shape[1])
     out = np.empty(llrs.shape, dtype=np.uint8)
@@ -491,7 +495,7 @@ def decode_batch(llrs, mask, kernel=None):
     return out
 
 
-def decode(llrs, mask, kernel=None):
+def decode(llrs, mask, kernel=DecoderKernel.min_sum()):
     """
     Decode one LLR vector by successive cancellation: the mask's schedule
     run on a one-frame state.
@@ -512,8 +516,6 @@ def decode(llrs, mask, kernel=None):
     ndarray
         Estimated input vector of length N; frozen positions are 0.
     """
-    if kernel is None:
-        kernel = DecoderKernel.min_sum()
     state = _State.one_frame(llrs, kernel)
     state.run(_compile(mask, state.n))
     return state.decisions()[0]

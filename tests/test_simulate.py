@@ -367,6 +367,18 @@ def test_a_point_whose_float_llrs_pass_the_decoder_bound_names_its_snr(kernel):
     assert run_point(quantized, 3075.0).frame_errors == 0
 
 
+def test_a_pooled_point_whose_float_llrs_pass_the_decoder_bound_is_refused_as_a_serial_one():
+    # the refusal is raised around the decoder's load in a pool worker, and reaches the caller as it is
+    config = small_config(snr_db=(3075.0,), max_trials=64)
+    messages = []
+    for jobs in (1, 2):
+        with pytest.raises(ValueError) as refused:
+            run_point(config, 3075.0, jobs=jobs)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("channel LLRs at Eb/N0 3075.0 dB are out of the decoder's range: LLRs must be finite")
+
+
 class TestSweepAndCsv:
     def test_sweep_covers_grid_in_order(self):
         config = small_config(max_trials=512, min_frame_errors=10**9)

@@ -31,6 +31,7 @@ from polarsc import (
 )
 from polarsc.vectorized import (
     _F,
+    _FLAT_TILE,
     _TILE,
     _ZERO,
     BLOCK_FRAMES,
@@ -378,6 +379,32 @@ def test_the_overflowing_frame_is_refused_and_the_bound_scales_with_n():
     decode_batch(np.array([[np.nextafter(BOUND8, np.inf), 0.0]]), [1, 1])
     # quantize_batch saturates every finite value, so it refuses only non-finite ones
     quantize_batch(np.array([OVERFLOWING_FRAME]), Q5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.nextafter(BOUND8, np.inf)], ids=["nan", "above"])
+def test_a_float_batch_whose_only_bad_row_is_the_last_is_refused(bad):
+    # the last row is in the second decode block, past its first load tile
+    llrs = np.ones((BLOCK_FRAMES + _TILE + 1, 8))
+    llrs[-1, 5] = bad
+    with pytest.raises(ValueError, match=re.escape(f"LLRs must be finite, of magnitude at most {BOUND8!r}")):
+        decode_batch(llrs, [1] * 8)
+
+
+def test_a_word_batch_whose_only_bad_row_is_the_last_is_refused():
+    # 8193 int8 rows: the last is the one row of the second decode block
+    words = np.ones((8 * BLOCK_FRAMES + 1, 8), dtype=np.int8)
+    words[-1, 7] = 16
+    with pytest.raises(ValueError, match=re.escape("quantized words must lie in [-15, 15]")):
+        decode_batch(words, construct_frozen_mask(8, 4), DecoderKernel.quantized(Q5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_quantize_batch_refuses_a_non_finite_llr_past_its_first_tile(bad):
+    llrs = np.ones((2, _FLAT_TILE + 5))
+    llrs[-1, -1] = bad
+    top = float(np.finfo(np.float64).max)
+    with pytest.raises(ValueError, match=re.escape(f"LLRs must be finite, of magnitude at most {top!r}")):
+        quantize_batch(llrs, Q5)
 
 
 def _assert_rows_match_scalar(llrs, mask, kernel):
